@@ -142,14 +142,14 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
     exec: &Executor,
 ) -> EvalCell {
     let _span = halk_obs::span!("eval_structure", || structure.to_string());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sampler = Sampler::new(&split.test);
     // Resolve the model's scoring cache (e.g. entity-table trig) through
     // the executor's cache layer: built at most once per parameter state,
     // shared across structures. The exact answer splits likewise share one
     // compiled plan per structure skeleton via the executor's plan cache.
     let setup_span = halk_obs::span!("eval_setup");
     let setup_start = std::time::Instant::now();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = Sampler::new(&split.test);
     let backend = EvalBackend {
         model,
         split,

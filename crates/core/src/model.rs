@@ -865,6 +865,15 @@ impl HalkModel {
         self.train_shards = Vec::new();
     }
 
+    /// Free buffers pooled across the persistent training tapes
+    /// (diagnostics/tests: steady-state training must not grow it).
+    pub fn pooled_tape_buffers(&self) -> usize {
+        self.train_shards
+            .iter()
+            .map(|(t, _)| t.pooled_buffers())
+            .sum()
+    }
+
     /// Reads the current (inference-time) arc of a single embedded branch —
     /// exposed for diagnostics and the pruning engine.
     pub fn entity_angle(&self, e: EntityId, dim: usize) -> f32 {

@@ -6,24 +6,39 @@
 //!
 //! * **Per entity** (changes only when parameters change): the half-angle
 //!   trig `sin(θ/2), cos(θ/2)` of every entity coordinate, precomputed once
-//!   into an [`EntityTrig`] structure-of-arrays.
+//!   into an [`EntityTrig`].
 //! * **Per query** (changes every query): per-branch, per-dim sin/cos of the
 //!   arc's half start/end/center angles plus the inside-distance cap, packed
 //!   into an [`ArcScorer`].
 //!
 //! The chord of Eq. 16, `2ρ|sin((θ−a)/2)|`, then factors through the angle
 //! subtraction identity `sin((θ−a)/2) = sin(θ/2)cos(a/2) − cos(θ/2)sin(a/2)`,
-//! so the per-entity inner loop is pure multiply/abs/min work — branch-free,
-//! trig-free, and contiguous over the SoA slices, which the autovectorizer
-//! turns into SIMD. The scalar reference path
-//! ([`HalkModel::score_all_scalar`]) is kept for equivalence tests and the
-//! regression bench; proptests pin agreement to 1e-4 across all
-//! [`DistanceMode`]s (see `tests/scorer_equivalence.rs`).
+//! so the per-entity work is pure multiply/abs/min — branch-free and
+//! trig-free.
+//!
+//! **SIMD lanes run across entities, not dims.** A score is an `f32` sum
+//! over dims, and the compiler may not reassociate it, so a dim loop keeps
+//! its order and runs one lane wide. [`EntityTrig`] therefore stores its
+//! trig in entity-lane blocks, `[block][dim][lane]` with [`LANES`] entities
+//! per block, and the sweep keeps one `[f32; LANES]` accumulator pair per
+//! block. Each lane performs exactly the one-entity sequence of
+//! mul/sub/abs/min/add in dim order, so every score is bit-identical to the
+//! row kernel ([`ArcScorer::score_rows_into`] still runs it) while the lane
+//! loop compiles to packed SIMD. The same `#[inline(always)]` body is
+//! compiled twice, portable (SSE2 on x86-64) and under
+//! `#[target_feature(enable = "avx2")]`, and each sweep runs the AVX2 copy
+//! when the CPU has it. FMA stays off: fusing would change rounding.
+//!
+//! The scalar reference path ([`HalkModel::score_all_scalar`]) is kept for
+//! equivalence tests and the regression bench; proptests pin agreement to
+//! 1e-4 across all [`DistanceMode`]s (see `tests/hotpath_equivalence.rs`),
+//! and `tests/lane_kernel.rs` pins the lane kernel bitwise to the row
+//! kernel.
 //!
 //! [`HalkModel::score_all_scalar`]: crate::model::HalkModel::score_all_scalar
 //!
 //! [`BoxScorer`] and [`L1Scorer`] give the interval/point baselines the same
-//! SoA treatment (their geometry needs no trig at all), and
+//! table-major treatment (their geometry needs no trig at all), and
 //! [`top_k_indices`] replaces full sorts with partial selection everywhere a
 //! caller only needs the best `k`.
 
@@ -120,7 +135,23 @@ fn quantize_i8(x: f32) -> i8 {
     (x * I8_SCALE).round().clamp(-I8_SCALE, I8_SCALE) as i8
 }
 
-/// The trig arrays in one of the [`Precision`] storage modes.
+/// Entities per lane block of an [`EntityTrig`]: the SIMD width of the
+/// sweep (one AVX2 register of `f32`). [`SCORE_SLICE`] is a multiple, so
+/// slice and shard boundaries never split a block.
+pub const LANES: usize = 8;
+
+const _: () = assert!(SCORE_SLICE.is_multiple_of(LANES));
+
+/// Position of row-major element `(row, j)` of a `d`-dim table in the
+/// entity-lane block layout.
+#[inline]
+fn lane_index(row: usize, j: usize, d: usize) -> usize {
+    (row / LANES) * d * LANES + j * LANES + row % LANES
+}
+
+/// The trig arrays in one of the [`Precision`] storage modes, each in the
+/// entity-lane block layout: element `(row, j)` at [`lane_index`], with
+/// the pad lanes of a partial last block zero.
 enum TrigStore {
     F32 {
         half_sin: Vec<f32>,
@@ -136,12 +167,112 @@ enum TrigStore {
     },
 }
 
+/// Source of a trig table under construction: `fill(rows, sin, cos)`
+/// writes the full-precision `sin(θ/2)` / `cos(θ/2)` of `rows` row-major
+/// into the two buffers (`rows.len() · d` values each). Producing a whole
+/// block row-major keeps the source reads (and the sin/cos calls)
+/// sequential; [`blocked`] transposes.
+type Fill<'a> = dyn FnMut(std::ops::Range<usize>, &mut [f32], &mut [f32]) + 'a;
+
+/// Lays out an `n × d` table in entity-lane blocks, `[block][dim][lane]`,
+/// one [`LANES`]-row block at a time from `fill`, storing each value
+/// through `store` (the precision's quantizer).
+fn blocked<T: Copy + Default>(
+    n: usize,
+    d: usize,
+    fill: &mut Fill<'_>,
+    store: impl Fn(f32) -> T,
+) -> (Vec<T>, Vec<T>) {
+    let len = n.div_ceil(LANES) * d * LANES;
+    let (mut half_sin, mut half_cos) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let (mut rows_s, mut rows_c) = (vec![0.0f32; d * LANES], vec![0.0f32; d * LANES]);
+    for row0 in (0..n).step_by(LANES) {
+        let k = LANES.min(n - row0);
+        fill(row0..row0 + k, &mut rows_s[..k * d], &mut rows_c[..k * d]);
+        for j in 0..d {
+            let lane = |rows: &[f32], l: usize| {
+                if l < k {
+                    store(rows[l * d + j])
+                } else {
+                    T::default()
+                }
+            };
+            half_sin.extend((0..LANES).map(|l| lane(&rows_s, l)));
+            half_cos.extend((0..LANES).map(|l| lane(&rows_c, l)));
+        }
+    }
+    (half_sin, half_cos)
+}
+
+impl TrigStore {
+    /// Builds an `n × d` store at `precision` from `fill`. Quantization is
+    /// per element, so the same source values give the same stored bits
+    /// whatever the source (angle table, snapshot bytes, or another
+    /// table).
+    fn build(n: usize, d: usize, precision: Precision, fill: &mut Fill<'_>) -> Self {
+        match precision {
+            Precision::F32 => {
+                let (half_sin, half_cos) = blocked(n, d, fill, |v| v);
+                TrigStore::F32 { half_sin, half_cos }
+            }
+            Precision::I16 => {
+                let (half_sin, half_cos) = blocked(n, d, fill, quantize_i16);
+                TrigStore::I16 { half_sin, half_cos }
+            }
+            Precision::I8 => {
+                let (half_sin, half_cos) = blocked(n, d, fill, quantize_i8);
+                TrigStore::I8 { half_sin, half_cos }
+            }
+        }
+    }
+
+    /// Stores the `n`-row prefix of already-blocked full-precision arrays
+    /// at `precision`. The source's last block may hold rows past `n`
+    /// (the next shard's); those lanes become zero padding.
+    fn from_blocks(sin: &[f32], cos: &[f32], n: usize, d: usize, precision: Precision) -> Self {
+        fn convert<T: Copy + Default>(
+            src: &[f32],
+            n: usize,
+            d: usize,
+            store: impl Fn(f32) -> T,
+        ) -> Vec<T> {
+            let mut out: Vec<T> = src.iter().map(|&v| store(v)).collect();
+            if !n.is_multiple_of(LANES) {
+                let last = out.len() - d * LANES;
+                for lanes in out[last..].chunks_exact_mut(LANES) {
+                    lanes[n % LANES..].fill(T::default());
+                }
+            }
+            out
+        }
+        match precision {
+            Precision::F32 => TrigStore::F32 {
+                half_sin: convert(sin, n, d, |v| v),
+                half_cos: convert(cos, n, d, |v| v),
+            },
+            Precision::I16 => TrigStore::I16 {
+                half_sin: convert(sin, n, d, quantize_i16),
+                half_cos: convert(cos, n, d, quantize_i16),
+            },
+            Precision::I8 => TrigStore::I8 {
+                half_sin: convert(sin, n, d, quantize_i8),
+                half_cos: convert(cos, n, d, quantize_i8),
+            },
+        }
+    }
+}
+
 /// Precomputed half-angle trig of an entity table: `sin(θ/2)` and
-/// `cos(θ/2)` for every entity coordinate, laid out row-major to match the
-/// table. Build once, reuse across every query scored against the same
-/// parameters (rebuild after a training step moves the table). Storage
-/// [`Precision`] is chosen at build time; the kernels always compute in
-/// `f32`, decoding quantized rows on the fly.
+/// `cos(θ/2)` for every entity coordinate. Build once, reuse across every
+/// query scored against the same parameters (rebuild after a training step
+/// moves the table). Storage [`Precision`] is chosen at build time; the
+/// kernels always compute in `f32`, decoding quantized lanes on the fly.
+///
+/// Storage is entity-lane blocked, `[block][dim][lane]` with [`LANES`]
+/// entities per block (see the module docs); the last block is
+/// zero-padded. The row-major view survives at the edges:
+/// [`EntityTrig::decoded`] indexes row-major, and the snapshot wire form
+/// ([`EntityTrig::to_row_major_le`]) is row-major.
 pub struct EntityTrig {
     store: TrigStore,
     n_entities: usize,
@@ -181,29 +312,16 @@ impl EntityTrig {
     ) -> Self {
         assert!(rows.end <= table.rows, "trig row range out of bounds");
         let d = table.cols;
-        let data = &table.data[rows.start * d..rows.end * d];
-        let store = match precision {
-            Precision::F32 => TrigStore::F32 {
-                half_sin: data.iter().map(|&t| (t * 0.5).sin()).collect(),
-                half_cos: data.iter().map(|&t| (t * 0.5).cos()).collect(),
-            },
-            Precision::I16 => TrigStore::I16 {
-                half_sin: data
-                    .iter()
-                    .map(|&t| quantize_i16((t * 0.5).sin()))
-                    .collect(),
-                half_cos: data
-                    .iter()
-                    .map(|&t| quantize_i16((t * 0.5).cos()))
-                    .collect(),
-            },
-            Precision::I8 => TrigStore::I8 {
-                half_sin: data.iter().map(|&t| quantize_i8((t * 0.5).sin())).collect(),
-                half_cos: data.iter().map(|&t| quantize_i8((t * 0.5).cos())).collect(),
-            },
+        let angles = &table.data[rows.start * d..rows.end * d];
+        let mut fill = |r: std::ops::Range<usize>, sin: &mut [f32], cos: &mut [f32]| {
+            let src = &angles[r.start * d..r.end * d];
+            for ((s, c), &t) in sin.iter_mut().zip(cos.iter_mut()).zip(src) {
+                *s = (t * 0.5).sin();
+                *c = (t * 0.5).cos();
+            }
         };
         Self {
-            store,
+            store: TrigStore::build(rows.len(), d, precision, &mut fill),
             n_entities: rows.len(),
             dim: d,
         }
@@ -228,43 +346,61 @@ impl EntityTrig {
         }
     }
 
-    /// Bytes resident in the trig arrays (the memory-diet number STATS
-    /// reports; excludes the fixed-size struct header).
+    /// Bytes of trig the table holds (the memory-diet number STATS
+    /// reports): `n_entities · dim` coordinate pairs. The zero pad lanes of
+    /// the last block (under [`LANES`] rows) and the struct header are
+    /// excluded.
     pub fn resident_bytes(&self) -> usize {
         self.n_entities * self.dim * self.precision().bytes_per_pair()
     }
 
-    /// The raw `(half_sin, half_cos)` arrays of a full-precision table —
-    /// `None` for quantized stores. This is the snapshot serialization
-    /// surface: an `F32` table's arrays roundtrip bit-exactly through
-    /// [`EntityTrig::from_f32_parts`].
-    pub fn f32_parts(&self) -> Option<(&[f32], &[f32])> {
-        match &self.store {
-            TrigStore::F32 { half_sin, half_cos } => Some((half_sin, half_cos)),
-            _ => None,
+    /// The snapshot wire form of a full-precision table: every `sin(θ/2)`
+    /// in row-major order, then every `cos(θ/2)`, as little-endian `f32`.
+    /// `None` for quantized stores (snapshots ship full precision).
+    /// [`EntityTrig::from_row_major_le`] restores it bit-exactly.
+    pub fn to_row_major_le(&self) -> Option<Vec<u8>> {
+        let TrigStore::F32 { half_sin, half_cos } = &self.store else {
+            return None;
+        };
+        let (n, d) = (self.n_entities, self.dim);
+        let mut out = Vec::with_capacity(2 * n * d * 4);
+        for values in [half_sin, half_cos] {
+            for row in 0..n {
+                for j in 0..d {
+                    out.extend_from_slice(&values[lane_index(row, j, d)].to_le_bytes());
+                }
+            }
         }
+        Some(out)
     }
 
-    /// Rebuilds a full-precision table from arrays previously obtained via
-    /// [`EntityTrig::f32_parts`] — the snapshot fast-boot constructor that
-    /// skips the `O(n_entities · dim)` sin/cos sweep. Shape mismatches are
-    /// a typed error (snapshot decode must never panic).
-    pub fn from_f32_parts(
-        half_sin: Vec<f32>,
-        half_cos: Vec<f32>,
-        n_entities: usize,
-        dim: usize,
-    ) -> Result<Self, String> {
-        if half_sin.len() != n_entities * dim || half_cos.len() != n_entities * dim {
-            return Err(format!(
-                "trig arrays hold {}/{} values, {n_entities}x{dim} table needs {}",
-                half_sin.len(),
-                half_cos.len(),
-                n_entities * dim
-            ));
-        }
+    /// Rebuilds a full-precision table from [`EntityTrig::to_row_major_le`]
+    /// bytes, decoding straight into lane blocks (no row-major copy) — the
+    /// snapshot fast-boot constructor that skips the `O(n_entities · dim)`
+    /// sin/cos sweep. A length mismatch is a typed error (snapshot decode
+    /// must never panic).
+    pub fn from_row_major_le(bytes: &[u8], n_entities: usize, dim: usize) -> Result<Self, String> {
+        let half = n_entities
+            .checked_mul(dim)
+            .and_then(|v| v.checked_mul(4))
+            .filter(|&h| h.checked_mul(2) == Some(bytes.len()))
+            .ok_or_else(|| {
+                format!(
+                    "trig payload holds {} bytes, not two {n_entities}x{dim} f32 arrays",
+                    bytes.len()
+                )
+            })?;
+        let (sin_le, cos_le) = bytes.split_at(half);
+        let mut fill = |r: std::ops::Range<usize>, sin: &mut [f32], cos: &mut [f32]| {
+            let bytes = r.start * dim * 4..r.end * dim * 4;
+            for (out, src) in [(sin, sin_le), (cos, cos_le)] {
+                for (v, le) in out.iter_mut().zip(src[bytes.clone()].chunks_exact(4)) {
+                    *v = f32::from_le_bytes(le.try_into().expect("chunks_exact(4) yields 4 bytes"));
+                }
+            }
+        };
         Ok(Self {
-            store: TrigStore::F32 { half_sin, half_cos },
+            store: TrigStore::build(n_entities, dim, Precision::F32, &mut fill),
             n_entities,
             dim,
         })
@@ -276,7 +412,8 @@ impl EntityTrig {
     /// values, so the result is element-for-element bit-identical to
     /// building the shard from the angle table directly — that equality is
     /// what lets a snapshot-booted server serve the same bits as a
-    /// TSV-booted one.
+    /// TSV-booted one. Any `rows` works; the result's blocks start at
+    /// `rows.start`.
     ///
     /// # Panics
     /// If `self` is not an `F32` table or `rows` is out of bounds — both
@@ -284,50 +421,86 @@ impl EntityTrig {
     /// construction).
     pub fn slice_rows(&self, rows: std::ops::Range<usize>, precision: Precision) -> Self {
         assert!(rows.end <= self.n_entities, "trig row range out of bounds");
+        let TrigStore::F32 { half_sin, half_cos } = &self.store else {
+            panic!("slice_rows requires a full-precision source table");
+        };
         let d = self.dim;
-        let (half_sin, half_cos) = self
-            .f32_parts()
-            .expect("slice_rows requires a full-precision source table");
-        let (sin, cos) = (
-            &half_sin[rows.start * d..rows.end * d],
-            &half_cos[rows.start * d..rows.end * d],
-        );
-        let store = match precision {
-            Precision::F32 => TrigStore::F32 {
-                half_sin: sin.to_vec(),
-                half_cos: cos.to_vec(),
-            },
-            Precision::I16 => TrigStore::I16 {
-                half_sin: sin.iter().map(|&v| quantize_i16(v)).collect(),
-                half_cos: cos.iter().map(|&v| quantize_i16(v)).collect(),
-            },
-            Precision::I8 => TrigStore::I8 {
-                half_sin: sin.iter().map(|&v| quantize_i8(v)).collect(),
-                half_cos: cos.iter().map(|&v| quantize_i8(v)).collect(),
-            },
+        if rows.start.is_multiple_of(LANES) {
+            // Block-aligned (every shard range is): whole blocks carry over.
+            let span = rows.start * d..rows.end.div_ceil(LANES) * LANES * d;
+            return Self {
+                store: TrigStore::from_blocks(
+                    &half_sin[span.clone()],
+                    &half_cos[span],
+                    rows.len(),
+                    d,
+                    precision,
+                ),
+                n_entities: rows.len(),
+                dim: d,
+            };
+        }
+        let mut fill = |r: std::ops::Range<usize>, sin: &mut [f32], cos: &mut [f32]| {
+            for (i, row) in r.enumerate() {
+                for j in 0..d {
+                    let at = lane_index(rows.start + row, j, d);
+                    sin[i * d + j] = half_sin[at];
+                    cos[i * d + j] = half_cos[at];
+                }
+            }
         };
         Self {
-            store,
+            store: TrigStore::build(rows.len(), d, precision, &mut fill),
             n_entities: rows.len(),
             dim: d,
         }
     }
 
-    /// Decodes element `j` (row-major) to the `(sin, cos)` pair the kernel
-    /// computes with — exact storage bits in `F32` mode, dequantized values
-    /// otherwise. Diagnostics and tests; the hot path decodes in bulk.
-    pub fn decoded(&self, j: usize) -> (f32, f32) {
+    /// Decodes row-major element `k` (row `k / dim`, dim `k % dim`) to the
+    /// `(sin, cos)` pair the kernel computes with — exact storage bits in
+    /// `F32` mode, dequantized values otherwise. Diagnostics and tests;
+    /// the hot path decodes whole lanes.
+    pub fn decoded(&self, k: usize) -> (f32, f32) {
+        assert!(k < self.n_entities * self.dim, "trig element out of range");
+        let i = lane_index(k / self.dim, k % self.dim, self.dim);
         match &self.store {
-            TrigStore::F32 { half_sin, half_cos } => (half_sin[j], half_cos[j]),
+            TrigStore::F32 { half_sin, half_cos } => (half_sin[i], half_cos[i]),
             TrigStore::I16 { half_sin, half_cos } => (
-                half_sin[j] as f32 * (1.0 / I16_SCALE),
-                half_cos[j] as f32 * (1.0 / I16_SCALE),
+                half_sin[i].widen(1.0 / I16_SCALE),
+                half_cos[i].widen(1.0 / I16_SCALE),
             ),
             TrigStore::I8 { half_sin, half_cos } => (
-                half_sin[j] as f32 * (1.0 / I8_SCALE),
-                half_cos[j] as f32 * (1.0 / I8_SCALE),
+                half_sin[i].widen(1.0 / I8_SCALE),
+                half_cos[i].widen(1.0 / I8_SCALE),
             ),
         }
+    }
+}
+
+/// A stored trig element, widened to the `f32` the kernels compute in:
+/// exact for `f32`, `v · inv_scale` for the fixed-point precisions.
+trait Stored: Copy {
+    fn widen(self, inv_scale: f32) -> f32;
+}
+
+impl Stored for f32 {
+    #[inline(always)]
+    fn widen(self, _: f32) -> f32 {
+        self
+    }
+}
+
+impl Stored for i16 {
+    #[inline(always)]
+    fn widen(self, inv_scale: f32) -> f32 {
+        f32::from(self) * inv_scale
+    }
+}
+
+impl Stored for i8 {
+    #[inline(always)]
+    fn widen(self, inv_scale: f32) -> f32 {
+        f32::from(self) * inv_scale
     }
 }
 
@@ -469,34 +642,59 @@ impl TopK {
     }
 }
 
-/// One DNF branch's arc parameters as structure-of-arrays over dims: sin/cos
-/// of the half start/end/center angles, the inside-distance cap and the
-/// ZeroedInside containment threshold, all in "|sin|" units (the shared
-/// `2ρ` chord factor is applied once per score).
-struct BranchSoa {
-    sin_s: Vec<f32>,
-    cos_s: Vec<f32>,
-    sin_e: Vec<f32>,
-    cos_e: Vec<f32>,
-    sin_c: Vec<f32>,
-    cos_c: Vec<f32>,
+/// One dim of one DNF branch's compiled arc: sin/cos of the half
+/// start/end/center angles, the inside-distance cap and the ZeroedInside
+/// containment threshold, all in "|sin|" units (the shared `2ρ` chord
+/// factor is applied once per score). Packed per dim so the sweep reads
+/// one record per dim step.
+#[derive(Debug, Clone, Copy)]
+struct DimArc {
+    sin_s: f32,
+    cos_s: f32,
+    sin_e: f32,
+    cos_e: f32,
+    sin_c: f32,
+    cos_c: f32,
     /// `|sin(half_angle/2)|` — the Eq. 16 inside-distance cap.
-    cap: Vec<f32>,
+    cap: f32,
     /// `sin(min(half_angle + 1e-6, π)/2)` — `|sin((θ−c)/2)| ≤ thr` iff
     /// `Arc::contains_angle(θ)` (both sides are monotone images of the
     /// angular offset on `[0, π]`).
-    thr: Vec<f32>,
+    thr: f32,
+}
+
+impl DimArc {
+    /// One entity coordinate's `(outside, inside)` distance terms, in
+    /// `|sin|` units, from its half-angle trig `(sh, ch)`. Both kernels
+    /// (row and lane) run exactly this sequence of operations.
+    #[inline(always)]
+    fn terms<const MODE: u8>(&self, sh: f32, ch: f32) -> (f32, f32) {
+        // sin((θ−a)/2) = sin(θ/2)cos(a/2) − cos(θ/2)sin(a/2).
+        let s_s = sh * self.cos_s - ch * self.sin_s;
+        let s_e = sh * self.cos_e - ch * self.sin_e;
+        let s_c = sh * self.cos_c - ch * self.sin_c;
+        let endpoints = s_s.abs().min(s_e.abs());
+        let d_o = if MODE == MODE_CENTER {
+            endpoints.min(s_c.abs())
+        } else if MODE == MODE_ZEROED {
+            // Branch-free containment mask: 1.0 outside the arc.
+            endpoints * f32::from(s_c.abs() > self.thr)
+        } else {
+            endpoints
+        };
+        (d_o, s_c.abs().min(self.cap))
+    }
 }
 
 const MODE_LITERAL: u8 = 0;
 const MODE_CENTER: u8 = 1;
 const MODE_ZEROED: u8 = 2;
 
-/// A query region compiled for scoring: per-branch SoA arc trig plus the
-/// distance-mode/η/ρ configuration. Scores are identical (within fp
+/// A query region compiled for scoring: per-branch, per-dim arc trig plus
+/// the distance-mode/η/ρ configuration. Scores are identical (within fp
 /// tolerance) to the scalar per-arc formulas in `halk_geometry::Arc`.
 pub struct ArcScorer {
-    branches: Vec<BranchSoa>,
+    branches: Vec<Vec<DimArc>>,
     dim: usize,
     rho: f32,
     eta: f32,
@@ -527,30 +725,22 @@ impl ArcScorer {
             .iter()
             .map(|arcs| {
                 assert_eq!(arcs.len(), dim, "ragged branch dimensionality");
-                let mut b = BranchSoa {
-                    sin_s: Vec::with_capacity(dim),
-                    cos_s: Vec::with_capacity(dim),
-                    sin_e: Vec::with_capacity(dim),
-                    cos_e: Vec::with_capacity(dim),
-                    sin_c: Vec::with_capacity(dim),
-                    cos_c: Vec::with_capacity(dim),
-                    cap: Vec::with_capacity(dim),
-                    thr: Vec::with_capacity(dim),
-                };
-                for &(center, half) in arcs {
-                    let start = center - half;
-                    let end = center + half;
-                    b.sin_s.push((start * 0.5).sin());
-                    b.cos_s.push((start * 0.5).cos());
-                    b.sin_e.push((end * 0.5).sin());
-                    b.cos_e.push((end * 0.5).cos());
-                    b.sin_c.push((center * 0.5).sin());
-                    b.cos_c.push((center * 0.5).cos());
-                    b.cap.push((half * 0.5).sin().abs());
-                    b.thr
-                        .push(((half + 1e-6).min(std::f32::consts::PI) * 0.5).sin());
-                }
-                b
+                arcs.iter()
+                    .map(|&(center, half)| {
+                        let start = center - half;
+                        let end = center + half;
+                        DimArc {
+                            sin_s: (start * 0.5).sin(),
+                            cos_s: (start * 0.5).cos(),
+                            sin_e: (end * 0.5).sin(),
+                            cos_e: (end * 0.5).cos(),
+                            sin_c: (center * 0.5).sin(),
+                            cos_c: (center * 0.5).cos(),
+                            cap: (half * 0.5).sin().abs(),
+                            thr: ((half + 1e-6).min(std::f32::consts::PI) * 0.5).sin(),
+                        }
+                    })
+                    .collect()
             })
             .collect();
         Self {
@@ -578,20 +768,37 @@ impl ArcScorer {
 
     /// Scores the contiguous entity rows `[row0, row0 + out.len())`, folding
     /// each score into `out` with `min` (pre-fill with `f32::INFINITY` for a
-    /// plain score). Rows are scored independently, so any partition of the
-    /// entity range — including the sharded parallel sweep — produces
-    /// bit-identical results to one full-table pass.
+    /// plain score). Rows are scored independently — a lane's score never
+    /// depends on its block neighbours — so any partition of the entity
+    /// range, aligned to [`LANES`] or not, including the sharded parallel
+    /// sweep, produces bit-identical results to one full-table pass.
     pub fn score_slice(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
+        self.check_slice(trig, row0, out);
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above (std caches
+            // the detection, so this is one relaxed load per slice).
+            unsafe { self.score_table_avx2(trig, row0, out) };
+            return;
+        }
+        self.score_table(trig, row0, out);
+    }
+
+    /// [`ArcScorer::score_slice`] pinned to the portable compile of the
+    /// lane kernel, whatever the CPU offers — lets tests prove the AVX2
+    /// copy bit-identical to it.
+    #[doc(hidden)]
+    pub fn score_slice_portable(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
+        self.check_slice(trig, row0, out);
+        self.score_table(trig, row0, out);
+    }
+
+    fn check_slice(&self, trig: &EntityTrig, row0: usize, out: &[f32]) {
         assert_eq!(trig.dim, self.dim, "entity/query dimensionality mismatch");
         assert!(
             row0 + out.len() <= trig.n_entities,
             "entity slice out of range"
         );
-        match self.mode {
-            DistanceMode::LiteralEq16 => self.score_table::<MODE_LITERAL>(trig, row0, out),
-            DistanceMode::CenterAnchored => self.score_table::<MODE_CENTER>(trig, row0, out),
-            DistanceMode::ZeroedInside => self.score_table::<MODE_ZEROED>(trig, row0, out),
-        }
     }
 
     /// [`ArcScorer::score_slice`] under a [`Deadline`], checked once per
@@ -669,7 +876,8 @@ impl ArcScorer {
 
     /// Scores only the rows `ids` of an angle table (the LSH candidate
     /// path), computing the per-row trig on the fly: `out[i]` is the score
-    /// of entity `ids[i]`.
+    /// of entity `ids[i]`. Runs the one-entity row kernel, bit-identical to
+    /// the same rows of a lane sweep over [`EntityTrig::new`]`(table)`.
     pub fn score_rows_into(&self, table: &Tensor, ids: &[u32], out: &mut Vec<f32>) {
         assert_eq!(table.cols, self.dim, "entity/query dimensionality mismatch");
         out.clear();
@@ -691,89 +899,122 @@ impl ArcScorer {
         }
     }
 
-    fn score_table<const MODE: u8>(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
-        let d = self.dim;
-        if d == 0 {
-            return;
+    /// Min-over-branches score of one entity from its half-angle trig row.
+    fn score_row<const MODE: u8>(&self, sh: &[f32], ch: &[f32]) -> f32 {
+        let mut best = f32::INFINITY;
+        for br in &self.branches {
+            let mut acc_o = 0.0f32;
+            let mut acc_i = 0.0f32;
+            for ((arc, &s), &c) in br.iter().zip(sh).zip(ch) {
+                let (d_o, d_i) = arc.terms::<MODE>(s, c);
+                acc_o += d_o;
+                acc_i += d_i;
+            }
+            best = best.min(acc_o + self.eta * acc_i);
         }
+        2.0 * self.rho * best
+    }
+
+    /// The AVX2 compile of [`ArcScorer::score_table`]: the same inlined
+    /// body, so the lane loop becomes one 8-wide op per step. No FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn score_table_avx2(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
+        self.score_table(trig, row0, out);
+    }
+
+    /// Dispatches the lane sweep on distance mode and storage precision.
+    #[inline(always)]
+    fn score_table(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
+        match self.mode {
+            DistanceMode::LiteralEq16 => self.score_store::<MODE_LITERAL>(trig, row0, out),
+            DistanceMode::CenterAnchored => self.score_store::<MODE_CENTER>(trig, row0, out),
+            DistanceMode::ZeroedInside => self.score_store::<MODE_ZEROED>(trig, row0, out),
+        }
+    }
+
+    #[inline(always)]
+    fn score_store<const MODE: u8>(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
         match &trig.store {
             TrigStore::F32 { half_sin, half_cos } => {
-                // The historical unquantized loop, untouched: `F32` scores
-                // stay bit-identical to every pre-quantization release.
-                let rows_s = half_sin[row0 * d..].chunks_exact(d);
-                let rows_c = half_cos[row0 * d..].chunks_exact(d);
-                for ((sh, ch), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
-                    *slot = slot.min(self.score_row::<MODE>(sh, ch));
-                }
+                self.score_lanes::<MODE, _>(half_sin, half_cos, 1.0, row0, out)
             }
             TrigStore::I16 { half_sin, half_cos } => {
-                self.score_quantized::<MODE, _>(half_sin, half_cos, 1.0 / I16_SCALE, row0, out)
+                self.score_lanes::<MODE, _>(half_sin, half_cos, 1.0 / I16_SCALE, row0, out)
             }
             TrigStore::I8 { half_sin, half_cos } => {
-                self.score_quantized::<MODE, _>(half_sin, half_cos, 1.0 / I8_SCALE, row0, out)
+                self.score_lanes::<MODE, _>(half_sin, half_cos, 1.0 / I8_SCALE, row0, out)
             }
         }
     }
 
-    /// Quantized-table sweep: each row is dequantized once into a small
-    /// scratch pair (an integer convert plus one multiply per element —
-    /// both autovectorize) and then scored by the same branch-free kernel
-    /// as the `f32` path, so the decode cost amortizes over all DNF
-    /// branches of the query.
-    fn score_quantized<const MODE: u8, Q: Copy + Into<f32>>(
+    /// The lane sweep over rows `[row0, row0 + out.len())`: every block
+    /// the range touches is scored whole, and only its in-range lanes are
+    /// folded into `out` — so unaligned starts and lengths work, and the
+    /// zero pad lanes of a table's last block are never read out.
+    #[inline(always)]
+    fn score_lanes<const MODE: u8, S: Stored>(
         &self,
-        half_sin: &[Q],
-        half_cos: &[Q],
+        half_sin: &[S],
+        half_cos: &[S],
         inv_scale: f32,
         row0: usize,
         out: &mut [f32],
     ) {
         let d = self.dim;
-        let mut sh = vec![0.0f32; d];
-        let mut ch = vec![0.0f32; d];
-        let rows_s = half_sin[row0 * d..].chunks_exact(d);
-        let rows_c = half_cos[row0 * d..].chunks_exact(d);
-        for ((qs, qc), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
-            for j in 0..d {
-                sh[j] = qs[j].into() * inv_scale;
-                ch[j] = qc[j].into() * inv_scale;
+        if d == 0 {
+            return;
+        }
+        let block = d * LANES;
+        let mut done = 0;
+        while done < out.len() {
+            let row = row0 + done;
+            let (b, lane) = (row / LANES, row % LANES);
+            let take = (LANES - lane).min(out.len() - done);
+            let span = b * block..(b + 1) * block;
+            let scores =
+                self.score_block::<MODE, S>(&half_sin[span.clone()], &half_cos[span], inv_scale);
+            for (slot, &s) in out[done..done + take]
+                .iter_mut()
+                .zip(&scores[lane..lane + take])
+            {
+                *slot = slot.min(s);
             }
-            *slot = slot.min(self.score_row::<MODE>(&sh, &ch));
+            done += take;
         }
     }
 
-    /// Min-over-branches score of one entity from its half-angle trig row.
-    #[inline]
-    fn score_row<const MODE: u8>(&self, sh: &[f32], ch: &[f32]) -> f32 {
-        let d = self.dim;
-        let mut best = f32::INFINITY;
+    /// Scores the [`LANES`] entities of one block (`d · LANES` values per
+    /// array, `[dim][lane]`). Each lane runs [`ArcScorer::score_row`]'s
+    /// exact operation sequence — dequantized inputs decode into stack
+    /// lanes exactly as [`EntityTrig::decoded`] does — so lane `l` is
+    /// bit-identical to the row kernel on entity `l`.
+    #[inline(always)]
+    fn score_block<const MODE: u8, S: Stored>(
+        &self,
+        half_sin: &[S],
+        half_cos: &[S],
+        inv_scale: f32,
+    ) -> [f32; LANES] {
+        let (sin_rows, _) = half_sin.as_chunks::<LANES>();
+        let (cos_rows, _) = half_cos.as_chunks::<LANES>();
+        let mut best = [f32::INFINITY; LANES];
         for br in &self.branches {
-            let (cos_s, sin_s) = (&br.cos_s[..d], &br.sin_s[..d]);
-            let (cos_e, sin_e) = (&br.cos_e[..d], &br.sin_e[..d]);
-            let (cos_c, sin_c) = (&br.cos_c[..d], &br.sin_c[..d]);
-            let (cap, thr) = (&br.cap[..d], &br.thr[..d]);
-            let mut acc_o = 0.0f32;
-            let mut acc_i = 0.0f32;
-            for j in 0..d {
-                // sin((θ−a)/2) = sin(θ/2)cos(a/2) − cos(θ/2)sin(a/2).
-                let s_s = sh[j] * cos_s[j] - ch[j] * sin_s[j];
-                let s_e = sh[j] * cos_e[j] - ch[j] * sin_e[j];
-                let s_c = sh[j] * cos_c[j] - ch[j] * sin_c[j];
-                let endpoints = s_s.abs().min(s_e.abs());
-                let d_o = if MODE == MODE_CENTER {
-                    endpoints.min(s_c.abs())
-                } else if MODE == MODE_ZEROED {
-                    // Branch-free containment mask: 1.0 outside the arc.
-                    endpoints * f32::from(s_c.abs() > thr[j])
-                } else {
-                    endpoints
-                };
-                acc_o += d_o;
-                acc_i += s_c.abs().min(cap[j]);
+            let mut acc_o = [0.0f32; LANES];
+            let mut acc_i = [0.0f32; LANES];
+            for ((arc, qs), qc) in br.iter().zip(sin_rows).zip(cos_rows) {
+                for l in 0..LANES {
+                    let (d_o, d_i) =
+                        arc.terms::<MODE>(qs[l].widen(inv_scale), qc[l].widen(inv_scale));
+                    acc_o[l] += d_o;
+                    acc_i[l] += d_i;
+                }
             }
-            best = best.min(acc_o + self.eta * acc_i);
+            for l in 0..LANES {
+                best[l] = best[l].min(acc_o[l] + self.eta * acc_i[l]);
+            }
         }
-        2.0 * self.rho * best
+        best.map(|b| 2.0 * self.rho * b)
     }
 }
 

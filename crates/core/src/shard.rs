@@ -1,6 +1,6 @@
 //! Arc-sharded entity space: contiguous row-range shards of the entity
-//! circle, each owning its own SoA [`EntityTrig`] slice, scored by a
-//! streaming bounded top-k per shard and merged by the coordinator.
+//! circle, each owning its own lane-blocked [`EntityTrig`] slice, scored
+//! by a streaming bounded top-k per shard and merged by the coordinator.
 //!
 //! HaLk answers a query by sweeping *every* entity (Paper §IV), so the
 //! naive hot path materializes an `n_entities`-long score vector per
@@ -71,8 +71,8 @@ impl ArcShards {
     }
 }
 
-/// Shard-local trig tables: one SoA [`EntityTrig`] per arc shard, built
-/// once per model snapshot and shared read-only by every query. Entry `i`
+/// Shard-local trig tables: one lane-blocked [`EntityTrig`] per arc shard,
+/// built once per model snapshot and shared read-only by every query. Entry `i`
 /// of shard `s` is table row `start(s) + i`, bit-identical to the same
 /// row of a whole-table [`EntityTrig::new`].
 pub struct ShardedTrig {

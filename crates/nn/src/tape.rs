@@ -131,11 +131,18 @@ impl Tape {
     /// handles from before the reset are invalidated (using one afterwards
     /// panics or reads an unrelated node — the borrow checker already stops
     /// `value()` references from crossing a reset).
+    ///
+    /// The pool keeps at most as many buffers as nodes were drained: a
+    /// pass that records the same graph again can take no more than that,
+    /// while [`Tape::input`] adopts caller allocations every pass — without
+    /// the cap those would pile up in the free list forever.
     pub fn reset(&mut self) {
+        let drained = self.nodes.len();
         let pool = &mut self.pool;
         for node in self.nodes.drain(..) {
             pool.put(node.data.data);
         }
+        pool.free.truncate(drained);
     }
 
     /// Number of free buffers currently pooled (diagnostics/tests).

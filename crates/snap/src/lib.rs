@@ -251,13 +251,8 @@ fn encode_params(store: &ParamStore) -> Vec<u8> {
 }
 
 fn encode_trig(trig: &EntityTrig) -> Vec<u8> {
-    let (half_sin, half_cos) = trig
-        .f32_parts()
-        .expect("the writer always builds the full-precision table");
-    let mut p = Vec::with_capacity((half_sin.len() + half_cos.len()) * 4);
-    put_f32s(&mut p, half_sin);
-    put_f32s(&mut p, half_cos);
-    p
+    trig.to_row_major_le()
+        .expect("the writer always builds the full-precision table")
 }
 
 /// Serializes a deployment (graph + trained model) to snapshot bytes,
@@ -608,14 +603,15 @@ fn parse_trig(payload: &[u8], meta: &Meta) -> Result<EntityTrig, SnapError> {
     let n = meta
         .n_entities
         .checked_mul(meta.dim)
+        .and_then(|n| n.checked_mul(8))
         .ok_or_else(|| malformed(TAG_TRIG, "entity * dim overflows"))?;
     let mut cur = Cursor::new(payload);
-    let half_sin = cur.f32_vec(n)?;
-    let half_cos = cur.f32_vec(n)?;
+    // Row-major sin then cos, decoded straight into the lane-blocked table.
+    let raw = cur.take(n)?;
     if cur.remaining() != 0 {
         return Err(malformed(TAG_TRIG, "trailing bytes in TRIG"));
     }
-    EntityTrig::from_f32_parts(half_sin, half_cos, meta.n_entities, meta.dim)
+    EntityTrig::from_row_major_le(raw, meta.n_entities, meta.dim)
         .map_err(|e| malformed(TAG_TRIG, e))
 }
 
@@ -682,20 +678,14 @@ pub fn from_bytes(buf: &[u8]) -> Result<(Graph, HalkModel, EntityTrig), SnapErro
     // libm sin/cos differs surfaces as a typed error here instead of
     // silently non-identical rankings.
     if meta.n_entities > 0 {
-        let (sin, cos) = trig.f32_parts().expect("from_f32_parts stores f32");
+        let d = meta.dim;
         for row in [0, meta.n_entities - 1] {
             let want = model.entity_trig_rows_with(row..row + 1, Precision::F32);
-            let (ws, wc) = want.f32_parts().expect("row build is f32");
-            let lo = row * meta.dim;
-            let hi = lo + meta.dim;
-            let same = sin[lo..hi]
-                .iter()
-                .zip(ws)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-                && cos[lo..hi]
-                    .iter()
-                    .zip(wc)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            let same = (0..d).all(|j| {
+                let (s, c) = trig.decoded(row * d + j);
+                let (ws, wc) = want.decoded(j);
+                s.to_bits() == ws.to_bits() && c.to_bits() == wc.to_bits()
+            });
             if !same {
                 return Err(malformed(
                     TAG_TRIG,
@@ -831,10 +821,22 @@ mod tests {
         // The shipped trig table equals a fresh build from the model, so a
         // snapshot-booted server's fast path is the same bytes too.
         let fresh = model.entity_trig_with(Precision::F32);
-        let (fs, fc) = fresh.f32_parts().unwrap();
-        let (ss, sc) = trig2.f32_parts().unwrap();
-        assert!(fs.iter().zip(ss).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(fc.iter().zip(sc).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(trig2.to_row_major_le(), fresh.to_row_major_le());
+    }
+
+    #[test]
+    fn trig_section_is_row_major_sin_then_cos() {
+        // The TRIG wire format predates the lane-blocked in-memory layout:
+        // it must stay the row-major sin array then the row-major cos
+        // array, so snapshots from either layout load in both.
+        let (_graph, model) = small_deployment();
+        let mut want = Vec::new();
+        for f in [f32::sin, f32::cos] {
+            for &t in &model.entity_table().data {
+                want.extend_from_slice(&f(t * 0.5).to_le_bytes());
+            }
+        }
+        assert_eq!(encode_trig(&model.entity_trig_with(Precision::F32)), want);
     }
 
     #[test]

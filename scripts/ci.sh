@@ -61,6 +61,39 @@ ROOT=$PWD
         --manifest results/table1_2/manifest.json
 )
 
+# with_daemon NAME BODY [VAR=VALUE...] -- SERVE_ARGS...
+#
+# The daemon drill every serve leg shares: boot `halk serve SERVE_ARGS` on
+# an ephemeral port (the VAR=VALUE assignments go to the daemon only), with
+# stdout/stderr in NAME.log/NAME.err; wait for its `listening on` line and
+# export the address as ADDR; run the shell function BODY; then require
+# that the daemon survived, drain it with SIGTERM and require `goodbye`.
+with_daemon() {
+    local name=$1 body=$2
+    shift 2
+    local env_args=()
+    while [ "$1" != -- ]; do
+        env_args+=("$1")
+        shift
+    done
+    shift
+    env ${env_args[@]+"${env_args[@]}"} "$ROOT/target/release/halk" \
+        serve "$@" --addr 127.0.0.1:0 > "$name.log" 2> "$name.err" &
+    local pid=$!
+    for _ in $(seq 50); do
+        grep -q '^listening on ' "$name.log" && break
+        kill -0 "$pid" || { cat "$name.err"; exit 1; }
+        sleep 0.1
+    done
+    ADDR=$(sed -n 's/^listening on //p' "$name.log" | head -1)
+    test -n "$ADDR"
+    "$body"
+    kill -0 "$pid"
+    kill -TERM "$pid"
+    wait "$pid"
+    grep -q 'goodbye' "$name.log"
+}
+
 echo "==> serve smoke (daemon + load_gen with fault injection + live telemetry)"
 # Boot the daemon on an ephemeral port, replay mixed-structure traffic with
 # fault injection (disconnects, slowloris, malformed frames, bursts) while
@@ -76,54 +109,46 @@ echo "==> serve smoke (daemon + load_gen with fault injection + live telemetry)"
 # and --chrome exercises the about:tracing converter.
 (
     cd "$OBS_TMP"
-    HALK_LOG=warn HALK_TRACE=serve_trace.jsonl "$ROOT/target/release/halk" \
-        serve --graph g.tsv --model model --addr 127.0.0.1:0 \
-        --obs-addr 127.0.0.1:0 --slow-ms 0 \
-        --test-faults true > serve.log 2> serve.err &
-    SERVE_PID=$!
-    for _ in $(seq 50); do
-        grep -q '^listening on ' serve.log && break
-        kill -0 "$SERVE_PID" || { cat serve.err; exit 1; }
-        sleep 0.1
-    done
-    ADDR=$(sed -n 's/^listening on //p' serve.log | head -1)
-    test -n "$ADDR"
-    OBS=$(sed -n 's/^metrics on //p' serve.log | head -1)
-    test -n "$OBS"
-    fetch() {
-        exec 3<>"/dev/tcp/${OBS%:*}/${OBS##*:}"
-        printf 'GET %s HTTP/1.0\r\n\r\n' "$1" >&3
-        cat <&3
-        exec 3<&- 3>&-
-    }
+    serve_body() {
+        OBS=$(sed -n 's/^metrics on //p' serve.log | head -1)
+        test -n "$OBS"
+        fetch() {
+            exec 3<>"/dev/tcp/${OBS%:*}/${OBS##*:}"
+            printf 'GET %s HTTP/1.0\r\n\r\n' "$1" >&3
+            cat <&3
+            exec 3<&- 3>&-
+        }
 
-    "$ROOT/target/release/load_gen" \
-        --addr "$ADDR" --graph g.tsv --model model \
-        --duration-ms 3000 --clients 4 --faults > loadgen.json &
-    LOAD_PID=$!
-    sleep 1
-    # Scrape while the barrage is in flight: the endpoint must answer under
-    # load, expose the cumulative counters and the windowed (~60 s) series.
-    fetch /metrics > metrics_scrape.prom
-    grep -q '^halk_serve_requests_total ' metrics_scrape.prom
-    grep -q '^halk_serve_latency_us_window_p99 ' metrics_scrape.prom
-    fetch /healthz > healthz.json
-    grep -q '"ok":true' healthz.json
-    grep -q '"draining":false' healthz.json
-    # One-shot `halk top` render from the same endpoints.
-    "$ROOT/target/release/halk" \
-        top --addr "$OBS" --serve-addr "$ADDR" --once true > top.txt
-    grep -q 'halk top' top.txt
-    grep -q 'latency' top.txt
-    wait "$LOAD_PID"
-    grep -q '"mismatches":0' loadgen.json
-    grep -q '"serve_p99_us":' loadgen.json
-    # The daemon must have survived the whole barrage...
-    kill -0 "$SERVE_PID"
-    # ...and drain cleanly on SIGTERM, leaving a schema-valid manifest.
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
-    grep -q 'goodbye' serve.log
+        "$ROOT/target/release/load_gen" \
+            --addr "$ADDR" --graph g.tsv --model model \
+            --duration-ms 3000 --clients 4 --faults > loadgen.json &
+        LOAD_PID=$!
+        sleep 1
+        # Scrape while the barrage is in flight: the endpoint must answer
+        # under load, expose the cumulative counters and the windowed
+        # (~60 s) series.
+        fetch /metrics > metrics_scrape.prom
+        grep -q '^halk_serve_requests_total ' metrics_scrape.prom
+        grep -q '^halk_serve_latency_us_window_p99 ' metrics_scrape.prom
+        fetch /healthz > healthz.json
+        grep -q '"ok":true' healthz.json
+        grep -q '"draining":false' healthz.json
+        # One-shot `halk top` render from the same endpoints.
+        "$ROOT/target/release/halk" \
+            top --addr "$OBS" --serve-addr "$ADDR" --once true > top.txt
+        grep -q 'halk top' top.txt
+        grep -q 'latency' top.txt
+        wait "$LOAD_PID"
+        grep -q '"mismatches":0' loadgen.json
+        grep -q '"serve_p99_us":' loadgen.json
+        # with_daemon then requires that the daemon survived the whole
+        # barrage and drains cleanly on SIGTERM, leaving a schema-valid
+        # manifest.
+    }
+    with_daemon serve serve_body HALK_LOG=warn HALK_TRACE=serve_trace.jsonl -- \
+        --graph g.tsv --model model \
+        --obs-addr 127.0.0.1:0 --slow-ms 0 \
+        --test-faults true
     # Slow-query evidence on both channels: the warn log and the trace.
     grep -q 'slow_query req=' serve.err
     grep -q '"name":"slow_query"' serve_trace.jsonl
@@ -142,27 +167,15 @@ echo "==> shard smoke (4-shard daemon + load_gen bit-identity)"
 # also carries the daemon's own batching counters (STATS frame).
 (
     cd "$OBS_TMP"
-    HALK_THREADS=4 "$ROOT/target/release/halk" \
-        serve --graph g.tsv --model model --addr 127.0.0.1:0 \
-        --shards 4 > serve_shard.log 2> serve_shard.err &
-    SERVE_PID=$!
-    for _ in $(seq 50); do
-        grep -q '^listening on ' serve_shard.log && break
-        kill -0 "$SERVE_PID" || { cat serve_shard.err; exit 1; }
-        sleep 0.1
-    done
-    ADDR=$(sed -n 's/^listening on //p' serve_shard.log | head -1)
-    test -n "$ADDR"
-
-    "$ROOT/target/release/load_gen" \
-        --addr "$ADDR" --graph g.tsv --model model \
-        --duration-ms 2000 --clients 4 > loadgen_shard.json
-    grep -q '"mismatches":0' loadgen_shard.json
-    grep -q '"batched_groups":' loadgen_shard.json
-    kill -0 "$SERVE_PID"
-    kill -TERM "$SERVE_PID"
-    wait "$SERVE_PID"
-    grep -q 'goodbye' serve_shard.log
+    shard_body() {
+        "$ROOT/target/release/load_gen" \
+            --addr "$ADDR" --graph g.tsv --model model \
+            --duration-ms 2000 --clients 4 > loadgen_shard.json
+        grep -q '"mismatches":0' loadgen_shard.json
+        grep -q '"batched_groups":' loadgen_shard.json
+    }
+    with_daemon serve_shard shard_body HALK_THREADS=4 -- \
+        --graph g.tsv --model model --shards 4
 )
 
 echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
@@ -182,20 +195,7 @@ echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
     "$ROOT/target/release/halk" \
         snapshot inspect --snap m.snap > inspect.txt
     grep -q 'snapshot version' inspect.txt
-    for precision in f32 i16; do
-        "$ROOT/target/release/halk" \
-            serve --snapshot m.snap --addr 127.0.0.1:0 \
-            --shards 4 --precision "$precision" \
-            > "serve_snap_$precision.log" 2> "serve_snap_$precision.err" &
-        SERVE_PID=$!
-        for _ in $(seq 50); do
-            grep -q '^listening on ' "serve_snap_$precision.log" && break
-            kill -0 "$SERVE_PID" || { cat "serve_snap_$precision.err"; exit 1; }
-            sleep 0.1
-        done
-        ADDR=$(sed -n 's/^listening on //p' "serve_snap_$precision.log" | head -1)
-        test -n "$ADDR"
-
+    snap_body() {
         # stderr to a file: the i16 leg logs every (expected) quantized
         # score difference against load_gen's f32 reference — and exits
         # nonzero for the same reason, so only the f32 leg may fail here.
@@ -212,10 +212,10 @@ echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
             grep -q '"server_errors":0' "loadgen_snap_$precision.json"
             grep -q '"io_errors":0' "loadgen_snap_$precision.json"
         fi
-        kill -0 "$SERVE_PID"
-        kill -TERM "$SERVE_PID"
-        wait "$SERVE_PID"
-        grep -q 'goodbye' "serve_snap_$precision.log"
+    }
+    for precision in f32 i16; do
+        with_daemon "serve_snap_$precision" snap_body -- \
+            --snapshot m.snap --shards 4 --precision "$precision"
     done
 )
 
@@ -229,26 +229,7 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
 # one-shot reference.
 (
     cd "$OBS_TMP"
-    for threads in 1 4; do
-        HALK_THREADS=$threads "$ROOT/target/release/halk" \
-            train --graph g.tsv --out "model_exec_$threads" --steps 20 --dim 16
-        HALK_THREADS=$threads HALK_SCALE=smoke "$ROOT/target/release/exp_table1_2" \
-            --metrics-out "eval_exec_$threads.json"
-        test -s "eval_exec_$threads.json"
-
-        HALK_THREADS=$threads "$ROOT/target/release/halk" \
-            serve --graph g.tsv --model model --addr 127.0.0.1:0 \
-            --shards 2 --batch-cap 4 \
-            > "serve_exec_$threads.log" 2> "serve_exec_$threads.err" &
-        SERVE_PID=$!
-        for _ in $(seq 50); do
-            grep -q '^listening on ' "serve_exec_$threads.log" && break
-            kill -0 "$SERVE_PID" || { cat "serve_exec_$threads.err"; exit 1; }
-            sleep 0.1
-        done
-        ADDR=$(sed -n 's/^listening on //p' "serve_exec_$threads.log" | head -1)
-        test -n "$ADDR"
-
+    exec_body() {
         "$ROOT/target/release/load_gen" \
             --addr "$ADDR" --graph g.tsv --model model \
             --duration-ms 1500 --clients 4 > "loadgen_exec_$threads.json"
@@ -256,10 +237,15 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
         # The daemon's STATS frame surfaces the configured drain cap and
         # load_gen copies it into the summary.
         grep -q '"batch_cap":4' "loadgen_exec_$threads.json"
-        kill -0 "$SERVE_PID"
-        kill -TERM "$SERVE_PID"
-        wait "$SERVE_PID"
-        grep -q 'goodbye' "serve_exec_$threads.log"
+    }
+    for threads in 1 4; do
+        HALK_THREADS=$threads "$ROOT/target/release/halk" \
+            train --graph g.tsv --out "model_exec_$threads" --steps 20 --dim 16
+        HALK_THREADS=$threads HALK_SCALE=smoke "$ROOT/target/release/exp_table1_2" \
+            --metrics-out "eval_exec_$threads.json"
+        test -s "eval_exec_$threads.json"
+        with_daemon "serve_exec_$threads" exec_body HALK_THREADS="$threads" -- \
+            --graph g.tsv --model model --shards 2 --batch-cap 4
     done
     # The executor's fixed-shard gradient reduction makes training
     # bit-reproducible across pool sizes: identical checkpoints, byte for
