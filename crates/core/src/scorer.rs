@@ -225,41 +225,6 @@ impl TrigStore {
             }
         }
     }
-
-    /// Stores the `n`-row prefix of already-blocked full-precision arrays
-    /// at `precision`. The source's last block may hold rows past `n`
-    /// (the next shard's); those lanes become zero padding.
-    fn from_blocks(sin: &[f32], cos: &[f32], n: usize, d: usize, precision: Precision) -> Self {
-        fn convert<T: Copy + Default>(
-            src: &[f32],
-            n: usize,
-            d: usize,
-            store: impl Fn(f32) -> T,
-        ) -> Vec<T> {
-            let mut out: Vec<T> = src.iter().map(|&v| store(v)).collect();
-            if !n.is_multiple_of(LANES) {
-                let last = out.len() - d * LANES;
-                for lanes in out[last..].chunks_exact_mut(LANES) {
-                    lanes[n % LANES..].fill(T::default());
-                }
-            }
-            out
-        }
-        match precision {
-            Precision::F32 => TrigStore::F32 {
-                half_sin: convert(sin, n, d, |v| v),
-                half_cos: convert(cos, n, d, |v| v),
-            },
-            Precision::I16 => TrigStore::I16 {
-                half_sin: convert(sin, n, d, quantize_i16),
-                half_cos: convert(cos, n, d, quantize_i16),
-            },
-            Precision::I8 => TrigStore::I8 {
-                half_sin: convert(sin, n, d, quantize_i8),
-                half_cos: convert(cos, n, d, quantize_i8),
-            },
-        }
-    }
 }
 
 /// Precomputed half-angle trig of an entity table: `sin(θ/2)` and
@@ -425,21 +390,6 @@ impl EntityTrig {
             panic!("slice_rows requires a full-precision source table");
         };
         let d = self.dim;
-        if rows.start.is_multiple_of(LANES) {
-            // Block-aligned (every shard range is): whole blocks carry over.
-            let span = rows.start * d..rows.end.div_ceil(LANES) * LANES * d;
-            return Self {
-                store: TrigStore::from_blocks(
-                    &half_sin[span.clone()],
-                    &half_cos[span],
-                    rows.len(),
-                    d,
-                    precision,
-                ),
-                n_entities: rows.len(),
-                dim: d,
-            };
-        }
         let mut fill = |r: std::ops::Range<usize>, sin: &mut [f32], cos: &mut [f32]| {
             for (i, row) in r.enumerate() {
                 for j in 0..d {
@@ -466,41 +416,14 @@ impl EntityTrig {
         match &self.store {
             TrigStore::F32 { half_sin, half_cos } => (half_sin[i], half_cos[i]),
             TrigStore::I16 { half_sin, half_cos } => (
-                half_sin[i].widen(1.0 / I16_SCALE),
-                half_cos[i].widen(1.0 / I16_SCALE),
+                half_sin[i] as f32 * (1.0 / I16_SCALE),
+                half_cos[i] as f32 * (1.0 / I16_SCALE),
             ),
             TrigStore::I8 { half_sin, half_cos } => (
-                half_sin[i].widen(1.0 / I8_SCALE),
-                half_cos[i].widen(1.0 / I8_SCALE),
+                half_sin[i] as f32 * (1.0 / I8_SCALE),
+                half_cos[i] as f32 * (1.0 / I8_SCALE),
             ),
         }
-    }
-}
-
-/// A stored trig element, widened to the `f32` the kernels compute in:
-/// exact for `f32`, `v · inv_scale` for the fixed-point precisions.
-trait Stored: Copy {
-    fn widen(self, inv_scale: f32) -> f32;
-}
-
-impl Stored for f32 {
-    #[inline(always)]
-    fn widen(self, _: f32) -> f32 {
-        self
-    }
-}
-
-impl Stored for i16 {
-    #[inline(always)]
-    fn widen(self, inv_scale: f32) -> f32 {
-        f32::from(self) * inv_scale
-    }
-}
-
-impl Stored for i8 {
-    #[inline(always)]
-    fn widen(self, inv_scale: f32) -> f32 {
-        f32::from(self) * inv_scale
     }
 }
 
@@ -953,7 +876,7 @@ impl ArcScorer {
     /// folded into `out` — so unaligned starts and lengths work, and the
     /// zero pad lanes of a table's last block are never read out.
     #[inline(always)]
-    fn score_lanes<const MODE: u8, S: Stored>(
+    fn score_lanes<const MODE: u8, S: Copy + Into<f32>>(
         &self,
         half_sin: &[S],
         half_cos: &[S],
@@ -990,7 +913,7 @@ impl ArcScorer {
     /// lanes exactly as [`EntityTrig::decoded`] does — so lane `l` is
     /// bit-identical to the row kernel on entity `l`.
     #[inline(always)]
-    fn score_block<const MODE: u8, S: Stored>(
+    fn score_block<const MODE: u8, S: Copy + Into<f32>>(
         &self,
         half_sin: &[S],
         half_cos: &[S],
@@ -1005,7 +928,7 @@ impl ArcScorer {
             for ((arc, qs), qc) in br.iter().zip(sin_rows).zip(cos_rows) {
                 for l in 0..LANES {
                     let (d_o, d_i) =
-                        arc.terms::<MODE>(qs[l].widen(inv_scale), qc[l].widen(inv_scale));
+                        arc.terms::<MODE>(qs[l].into() * inv_scale, qc[l].into() * inv_scale);
                     acc_o[l] += d_o;
                     acc_i[l] += d_i;
                 }
