@@ -6,7 +6,8 @@
 //! every shard-table build in `halk_core`) must not move across requests,
 //! and responses must be identical from the first request to the last.
 //! This file is its own test binary, so the process-global counter is not
-//! shared with unrelated engine constructions.
+//! shared with unrelated engine constructions; within it, [`SERIAL`] keeps
+//! one test's engine boots out of the other's counter window.
 
 use halk_core::{HalkConfig, HalkModel, Precision};
 use halk_kg::{generate, SynthConfig};
@@ -14,6 +15,17 @@ use halk_obs::{Clock, Deadline};
 use halk_serve::{AskEngine, Engine, Response};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held for the whole of each test: the counter is process-global and the
+/// default runner runs tests in parallel.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn deployment() -> Engine {
     let cfg = SynthConfig {
@@ -27,6 +39,7 @@ fn deployment() -> Engine {
 
 #[test]
 fn request_1_equals_request_100_with_no_table_builds_between() {
+    let _serial = serial();
     let builds = halk_obs::metrics::counter("halk_trig_builds_total");
 
     let before_boot = builds.get();
@@ -78,6 +91,7 @@ fn request_1_equals_request_100_with_no_table_builds_between() {
 
 #[test]
 fn quantized_engine_warms_smaller_tables_at_boot() {
+    let _serial = serial();
     let exact = deployment();
     let builds = halk_obs::metrics::counter("halk_trig_builds_total");
 
