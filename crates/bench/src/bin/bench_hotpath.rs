@@ -187,7 +187,7 @@ fn main() {
         black_box(model.score_all_scalar(&p2.query));
     });
     record("score_all_p2_scalar", ns_scalar_p2, iters);
-    // Amortized shape (what prune::candidate_set does): entity trig and the
+    // Amortized shape (what eval's score cache does): entity trig and the
     // output buffer hoisted out of the loop.
     let trig = model.entity_trig();
     let mut scores = Vec::new();
@@ -354,13 +354,13 @@ fn main() {
         .collect();
     assert_eq!(group8.len(), 8, "8 groundable p2 queries");
     let trig8 = model8.entity_trig();
-    let sharded8 = model8.entity_shards(8);
+    let sharded8 = model8.entity_shards_with(8, Precision::F32);
     let pool1 = Pool::new(1);
     let never = Deadline::never();
     let ns_full8 = median_ns(samples, iters, || {
         for q in &group8 {
             let mut scores = Vec::new();
-            model8.score_all_until(&trig8, q, &mut scores, &never);
+            model8.score_all_with(&trig8, q, &mut scores);
             black_box(top_k_indices(&scores, 10));
         }
     }) / group8.len() as f64;
@@ -381,12 +381,13 @@ fn main() {
     let ns_sharded8 = median_ns(samples, iters, || {
         let refs: Vec<&halk_logic::Query> = group8.iter().collect();
         let scorers = model8.scorers_for_shape(&shape8, &refs);
-        black_box(halk_core::sharded_top_k(
+        black_box(halk_core::sharded_top_k_timed(
             &pool1,
             &sharded8,
             &scorers,
             &ks8,
             &deadlines8,
+            None,
         ));
     }) / group8.len() as f64;
     println!("topk_sharded_8000        {ns_sharded8:>12.0} ns/op   ({iters} iters/sample)");
@@ -432,7 +433,8 @@ fn main() {
             let never = Deadline::never();
             let ks = vec![10usize; jobs.len()];
             let deadlines: Vec<&Deadline> = jobs.iter().map(|_| &never).collect();
-            halk_core::sharded_top_k(&exec.pool(), &sharded, &scorers, &ks, &deadlines)
+            halk_core::sharded_top_k_timed(&exec.pool(), &sharded, &scorers, &ks, &deadlines, None)
+                .0
                 .into_iter()
                 .map(|(hits, _)| hits.into_iter().map(|(e, _)| e).collect())
                 .collect()

@@ -19,15 +19,17 @@
 //! * **Per-structure caches.** The compiled-plan cache ([`PlanCache`],
 //!   FIFO-bounded) lives here, as does the scoring-cache layer: the
 //!   generic [`QueryModel::score_cache`] product (HaLk's full
-//!   [`EntityTrig`] table) and the serving-side [`ShardedTrig`]
-//!   shard-local tables at any [`Precision`]. Both are built at most once
-//!   per parameter state (versioned by the optimizer step count) and
-//!   shared via `Arc` — eval no longer rebuilds the trig table per
-//!   structure, and serve's resident tables come from the same layer.
+//!   [`EntityTrig`](crate::scorer::EntityTrig) table) and the
+//!   serving-side [`ShardedTrig`] shard-local tables at any
+//!   [`Precision`]. Both are built at most once per parameter state
+//!   (versioned by the optimizer step count) and shared via `Arc` — eval
+//!   no longer rebuilds the trig table per structure, and serve's
+//!   resident tables come from the same layer.
 //! * **The pool.** [`Executor::pool`] is the labeled `halk-par` pool every
 //!   group kernel fans out on (`par_map_mut` for training shards,
 //!   `par_map_dyn` for eval scoring, `par_shards` inside
-//!   [`sharded_top_k`](crate::shard::sharded_top_k) for serving sweeps).
+//!   [`sharded_top_k_timed`](crate::shard::sharded_top_k_timed) for
+//!   serving sweeps).
 //!   Thread count is a scheduling knob only; every backend's contract is
 //!   bit-identical results at any setting.
 //! * **Observability.** Every group opens an `exec_group` span and ticks

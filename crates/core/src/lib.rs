@@ -58,8 +58,5 @@ pub use qmodel::{QueryModel, ScoreCache, TrainExample};
 pub use scorer::{
     top_k_indices, ArcScorer, BoxScorer, EntityTrig, L1Scorer, Precision, TopK, LANES, SCORE_SLICE,
 };
-pub use shard::{
-    sharded_top_k, sharded_top_k_tagged, sharded_top_k_timed, ArcShards, ShardedTopK, ShardedTrig,
-    SweepTiming,
-};
+pub use shard::{sharded_top_k_timed, ArcShards, ShardedTopK, ShardedTrig, SweepTiming};
 pub use train::{train_model, TrainConfig, TrainError, TrainStats};

@@ -26,14 +26,13 @@
 use crate::arcvar::{chord, clamp, g_squash, ArcVar};
 use crate::config::{Ablation, DistanceMode, HalkConfig};
 use crate::exec::{ExecConfig, Executor};
-use crate::scorer::{ArcScorer, EntityTrig, Precision, SCORE_SLICE};
-use crate::shard::{sharded_top_k, ArcShards, ShardedTopK, ShardedTrig};
+use crate::scorer::{ArcScorer, EntityTrig, Precision};
+use crate::shard::{ArcShards, ShardedTrig};
 use halk_geometry::Arc;
 use halk_kg::{EntityId, Graph, Grouping, RelationId};
 use halk_logic::plan::{PlanBindings, PlanCache, PlanMasks, PlanOp, PlanShape};
 use halk_logic::Query;
 use halk_nn::{Act, GradBuffer, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
-use halk_obs::Deadline;
 use halk_par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -643,13 +642,19 @@ impl HalkModel {
             std::slice::from_ref(&bindings),
             std::slice::from_ref(&masks),
         );
+        self.branch_arcs(&tape, &roots, 0)
+    }
+
+    /// Reads batch row `b` of the embedded plan roots off `tape` as one
+    /// [`Arc`] per dim per DNF branch.
+    fn branch_arcs(&self, tape: &Tape, roots: &[ArcVar], b: usize) -> Vec<Vec<Arc>> {
         roots
             .iter()
             .map(|arc| {
                 let c = tape.value(arc.center);
                 let l = tape.value(arc.len);
                 (0..self.cfg.dim)
-                    .map(|j| Arc::new(c.data[j], l.data[j].max(0.0), self.cfg.rho))
+                    .map(|j| Arc::new(c.get(b, j), l.get(b, j).max(0.0), self.cfg.rho))
                     .collect()
             })
             .collect()
@@ -663,7 +668,7 @@ impl HalkModel {
 
     /// Precomputed half-angle trig of the current entity table. Valid until
     /// the next training step moves the table; reuse it across queries to
-    /// amortize the per-entity trig (the pruning engine does this).
+    /// amortize the per-entity trig (evaluation does this).
     pub fn entity_trig(&self) -> EntityTrig {
         EntityTrig::new(self.store.value(self.ent_center))
     }
@@ -704,90 +709,14 @@ impl HalkModel {
         self.scorer_for(query).score_into(trig, out);
     }
 
-    /// Entity-sharded [`HalkModel::score_all_with`]: splits the entity range
-    /// into fixed-size slices scored on `pool`'s workers. Slice boundaries
-    /// depend only on the entity count — never on the thread count — and
-    /// each entity's score is computed independently, so output is
-    /// bit-identical to the sequential path at any parallelism.
-    pub fn score_all_with_par(
-        &self,
-        pool: Pool,
-        trig: &EntityTrig,
-        query: &Query,
-        out: &mut Vec<f32>,
-    ) {
-        let scorer = self.scorer_for(query);
-        out.clear();
-        out.resize(trig.n_entities(), f32::INFINITY);
-        if pool.is_sequential() {
-            scorer.score_slice(trig, 0, out);
-            return;
-        }
-        pool.par_chunks_mut(out, SCORE_SLICE, |ci, chunk| {
-            scorer.score_slice(trig, ci * SCORE_SLICE, chunk);
-        });
-    }
-
-    /// [`HalkModel::score_all_with`] under a [`Deadline`], checked at
-    /// 1024-row slice boundaries (the same slice size as the parallel
-    /// sweep). Returns the number of entity rows scored before the deadline
-    /// hit; the scored prefix of `out` is bit-identical to the same rows of
-    /// the undeadlined path, and rows past the prefix stay `f32::INFINITY`.
-    /// A serving layer uses the prefix for a partial-but-correct top-k with
-    /// a `truncated` flag instead of blocking past its budget.
-    pub fn score_all_until(
-        &self,
-        trig: &EntityTrig,
-        query: &Query,
-        out: &mut Vec<f32>,
-        deadline: &Deadline,
-    ) -> usize {
-        let scorer = self.scorer_for(query);
-        out.clear();
-        out.resize(trig.n_entities(), f32::INFINITY);
-        scorer.score_until(trig, 0, out, SCORE_SLICE, deadline)
-    }
-
     /// Shard-local trig tables for the current entity table under a
-    /// balanced `n_shards`-way arc partition. Like
+    /// balanced `n_shards`-way arc partition, stored at `precision`. Like
     /// [`HalkModel::entity_trig`], valid until the next training step;
-    /// build once per model snapshot and share across queries.
-    pub fn entity_shards(&self, n_shards: usize) -> ShardedTrig {
-        let table = self.store.value(self.ent_center);
-        ShardedTrig::new(table, &ArcShards::new(table.rows, n_shards))
-    }
-
-    /// [`HalkModel::entity_shards`] at an explicit storage [`Precision`].
+    /// build once per model snapshot and share across queries. Top-k
+    /// callers sweep it with [`crate::shard::sharded_top_k_timed`].
     pub fn entity_shards_with(&self, n_shards: usize, precision: Precision) -> ShardedTrig {
         let table = self.store.value(self.ent_center);
         ShardedTrig::with_precision(table, &ArcShards::new(table.rows, n_shards), precision)
-    }
-
-    /// Streaming sharded top-k for one query: per-shard bounded heaps fanned
-    /// out over `pool`, merged by rank — never materializing the full score
-    /// vector. Returns the top-`k` `(entity, score)` pairs in ascending rank
-    /// order plus the rows scored before `deadline` (the union of per-shard
-    /// prefixes; `n_entities` when the deadline never fires). The selection
-    /// and scores are bit-identical to [`HalkModel::score_all`] followed by
-    /// [`crate::top_k_indices`].
-    pub fn top_k_sharded(
-        &self,
-        pool: &Pool,
-        sharded: &ShardedTrig,
-        query: &Query,
-        k: usize,
-        deadline: &Deadline,
-    ) -> ShardedTopK {
-        let scorer = self.scorer_for(query);
-        sharded_top_k(
-            pool,
-            sharded,
-            std::slice::from_ref(&scorer),
-            &[k],
-            &[deadline],
-        )
-        .pop()
-        .expect("one query in, one result out")
     }
 
     /// Compiles a *group* of same-skeleton queries into per-query
@@ -807,16 +736,7 @@ impl HalkModel {
         let roots = self.embed_plan(&mut tape, shape, &bindings, &masks);
         (0..queries.len())
             .map(|b| {
-                let branches: Vec<Vec<Arc>> = roots
-                    .iter()
-                    .map(|arc| {
-                        let c = tape.value(arc.center);
-                        let l = tape.value(arc.len);
-                        (0..self.cfg.dim)
-                            .map(|j| Arc::new(c.get(b, j), l.get(b, j).max(0.0), self.cfg.rho))
-                            .collect()
-                    })
-                    .collect();
+                let branches = self.branch_arcs(&tape, &roots, b);
                 ArcScorer::from_arcs(&branches, self.cfg.rho, self.cfg.eta, self.cfg.distance)
             })
             .collect()

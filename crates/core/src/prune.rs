@@ -7,41 +7,41 @@
 //! large online-time reduction (Fig. 6a).
 
 use crate::model::HalkModel;
-use crate::scorer::TopK;
+use crate::scorer::{ArcScorer, Precision};
+use crate::shard::sharded_top_k_timed;
 use halk_kg::{EntityId, Graph};
 use halk_logic::Query;
 use halk_obs::Deadline;
-use std::cell::RefCell;
+use halk_par::Pool;
 
-thread_local! {
-    /// Pooled per-thread selection scratch: the bounded heap plus its
-    /// sorted drain buffer, reused across calls so the pruning hot path
-    /// (hit on every served query) allocates nothing in steady state —
-    /// previously each call built a fresh `n_entities` score vector *and*
-    /// an `n_entities` index vector for the argsort.
-    static TOPK_SCRATCH: RefCell<(TopK, Vec<(u32, f32)>)> =
-        RefCell::new((TopK::new(0), Vec::new()));
+/// Top-`k` entities under each scorer, all swept in one slice-major pass
+/// over a one-shard table on the calling thread. The selection is
+/// bit-identical to the full-vector `score_all` + `top_k_indices` path.
+fn top_k_each(model: &HalkModel, scorers: &[ArcScorer], k: usize) -> Vec<Vec<u32>> {
+    let table = model.entity_shards_with(1, Precision::F32);
+    let ks = vec![k; scorers.len()];
+    let never = Deadline::never();
+    let deadlines = vec![&never; scorers.len()];
+    let (results, _) = sharded_top_k_timed(&Pool::new(1), &table, scorers, &ks, &deadlines, None);
+    results
+        .into_iter()
+        .map(|(hits, _)| hits.into_iter().map(|(e, _)| e).collect())
+        .collect()
 }
 
 /// Top-`k` entity candidates for *one* query node, by embedding distance.
-/// Streams the entity table through a pooled bounded heap; the selection is
-/// bit-identical to the full-vector `score_all` + `top_k_indices` path.
 pub fn top_k_candidates(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId> {
-    let trig = model.entity_trig();
     let scorer = model.scorer_for(query);
-    TOPK_SCRATCH.with(|cell| {
-        let (heap, drain) = &mut *cell.borrow_mut();
-        heap.reset(k);
-        scorer.top_k_until(&trig, 0, heap, &Deadline::never());
-        heap.drain_sorted_into(drain);
-        drain.iter().map(|&(i, _)| EntityId(i)).collect()
-    })
+    top_k_each(model, std::slice::from_ref(&scorer), k)
+        .remove(0)
+        .into_iter()
+        .map(EntityId)
+        .collect()
 }
 
 /// The candidate node set `S`: top-`k` candidates of every variable node of
-/// the computation tree (every sub-query root), plus all anchors. The
-/// entity-table trig and the score buffer are built once and shared across
-/// every sub-query.
+/// the computation tree (every sub-query root), plus all anchors. Every
+/// sub-query is scored in the same sweep over one entity-trig table.
 pub fn candidate_set(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId> {
     let mut keep = vec![false; model.n_entities()];
     // Anchors are always part of the induced graph.
@@ -49,26 +49,15 @@ pub fn candidate_set(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId
         keep[a.index()] = true;
     }
     // Every operator node of the tree is a variable node of the query graph.
-    let mut subqueries: Vec<Query> = Vec::new();
+    let mut scorers = Vec::new();
     query.visit(&mut |q| {
         if !matches!(q, Query::Anchor(_)) {
-            subqueries.push(q.clone());
+            scorers.push(model.scorer_for(q));
         }
     });
-    let trig = model.entity_trig();
-    TOPK_SCRATCH.with(|cell| {
-        let (heap, drain) = &mut *cell.borrow_mut();
-        for sub in &subqueries {
-            heap.reset(k);
-            model
-                .scorer_for(sub)
-                .top_k_until(&trig, 0, heap, &Deadline::never());
-            heap.drain_sorted_into(drain);
-            for &(e, _) in drain.iter() {
-                keep[e as usize] = true;
-            }
-        }
-    });
+    for e in top_k_each(model, &scorers, k).into_iter().flatten() {
+        keep[e as usize] = true;
+    }
     keep.iter()
         .enumerate()
         .filter(|&(_, &k)| k)
@@ -137,6 +126,30 @@ mod tests {
         // Deeper query has more variable nodes → at least as many candidates.
         assert!(s2.len() >= s1.len());
         assert!(s1.len() <= 11); // 10 candidates + anchor
+    }
+
+    #[test]
+    fn candidate_set_is_anchors_plus_every_subquery_top_k() {
+        let (g, model) = setup();
+        let (t, u) = (g.triples()[0], g.triples()[1]);
+        let k = 7;
+        let queries = [
+            Query::atom(t.h, t.r),
+            Query::atom(t.h, t.r).project(RelationId(0)),
+            Query::Union(vec![Query::atom(t.h, t.r), Query::atom(u.h, u.r)]),
+        ];
+        for q in &queries {
+            let mut want: Vec<EntityId> = q.anchors();
+            q.visit(&mut |sub| {
+                if !matches!(sub, Query::Anchor(_)) {
+                    let scores = model.score_all(sub);
+                    want.extend(crate::top_k_indices(&scores, k).into_iter().map(EntityId));
+                }
+            });
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(candidate_set(&model, q, k), want, "{}", q.render());
+        }
     }
 
     #[test]

@@ -37,6 +37,11 @@
 //!
 //! [`HalkModel::score_all_scalar`]: crate::model::HalkModel::score_all_scalar
 //!
+//! HaLk scoring has one entry per output: full score vectors through
+//! [`ArcScorer::score_into`], top-k through
+//! [`crate::shard::sharded_top_k_timed`]. Both sweep
+//! [`ArcScorer::score_slice`].
+//!
 //! [`BoxScorer`] and [`L1Scorer`] give the interval/point baselines the same
 //! table-major treatment (their geometry needs no trig at all), and
 //! [`top_k_indices`] replaces full sorts with partial selection everywhere a
@@ -45,15 +50,14 @@
 use crate::config::DistanceMode;
 use halk_geometry::Arc;
 use halk_nn::Tensor;
-use halk_obs::Deadline;
 use serde::{Deserialize, Serialize};
 
-/// The fixed scoring-slice size shared by every sweep over the entity
-/// table: the parallel `par_chunks_mut` sweep, the deadline-checked
-/// `score_until` loop and the streaming [`ArcScorer::top_k_until`] path
-/// all quantize work in rows of this many entities. Slice boundaries
-/// depend only on the entity count, never on thread or shard counts, so
-/// every partition of the table scores bit-identically.
+/// The fixed scoring-slice size of the top-k sweep
+/// ([`crate::shard::sharded_top_k_timed`]): shard boundaries sit on
+/// multiples of it, and the sweep checks deadlines and offers rows into
+/// its heaps one slice at a time. Slice boundaries depend only on the
+/// entity count, never on thread or shard counts, so every partition of
+/// the table scores bit-identically.
 pub const SCORE_SLICE: usize = 1024;
 
 /// Storage precision of the precomputed entity-trig working set — the
@@ -439,9 +443,7 @@ impl EntityTrig {
 /// therefore yields *bit-identically* the same selection as
 /// `top_k_indices`, in any offer order and under any partition of the rows
 /// (distinct indices make the total order strict, so the k-smallest set is
-/// unique). The backing buffer is reusable via [`TopK::reset`], so pooled
-/// callers (the pruning engine, the serve workers) allocate nothing per
-/// query in steady state.
+/// unique). The backing buffer is reusable via [`TopK::reset`].
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
@@ -724,72 +726,6 @@ impl ArcScorer {
         );
     }
 
-    /// [`ArcScorer::score_slice`] under a [`Deadline`], checked once per
-    /// `slice_rows` rows (the slice boundary — never per entity, so the
-    /// inner kernel stays branch-free). Returns the number of rows scored,
-    /// always a multiple of `slice_rows` except at the end of the table;
-    /// rows beyond it are untouched. Scored prefixes are bit-identical to
-    /// the same rows of a full [`ArcScorer::score_slice`] pass, because
-    /// rows are scored independently.
-    pub fn score_until(
-        &self,
-        trig: &EntityTrig,
-        row0: usize,
-        out: &mut [f32],
-        slice_rows: usize,
-        deadline: &Deadline,
-    ) -> usize {
-        let slice_rows = slice_rows.max(1);
-        let mut done = 0;
-        while done < out.len() {
-            if deadline.expired() {
-                return done;
-            }
-            let n = slice_rows.min(out.len() - done);
-            self.score_slice(trig, row0 + done, &mut out[done..done + n]);
-            done += n;
-        }
-        done
-    }
-
-    /// Streaming bounded top-k over the rows of `trig` under a
-    /// [`Deadline`]: scores [`SCORE_SLICE`]-row slices into a small stack
-    /// scratch and offers each row into `heap`, never materializing a
-    /// full score vector. `global_row0` is the table-global index of
-    /// `trig`'s first row (the shard offset), so offered indices are
-    /// table-global. Returns the number of rows scored; the deadline is
-    /// checked once per slice like [`ArcScorer::score_until`].
-    ///
-    /// Offering rows through a [`TopK`] selects bit-identically the same
-    /// entries as [`top_k_indices`] over a full score vector (see the
-    /// [`TopK`] ordering contract), so shard-local sweeps merged by
-    /// [`TopK::absorb`] reproduce the full-vector reference exactly.
-    pub fn top_k_until(
-        &self,
-        trig: &EntityTrig,
-        global_row0: usize,
-        heap: &mut TopK,
-        deadline: &Deadline,
-    ) -> usize {
-        let n = trig.n_entities;
-        let mut scratch = [0.0f32; SCORE_SLICE];
-        let mut done = 0;
-        while done < n {
-            if deadline.expired() {
-                return done;
-            }
-            let take = SCORE_SLICE.min(n - done);
-            let out = &mut scratch[..take];
-            out.fill(f32::INFINITY); // score_slice min-folds into `out`
-            self.score_slice(trig, done, out);
-            for (j, &s) in out.iter().enumerate() {
-                heap.offer((global_row0 + done + j) as u32, s);
-            }
-            done += take;
-        }
-        done
-    }
-
     /// Convenience wrapper over [`ArcScorer::score_into`].
     pub fn score_all(&self, trig: &EntityTrig) -> Vec<f32> {
         let mut out = Vec::new();
@@ -1062,6 +998,7 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use halk_geometry::TAU;
+    use halk_obs::Deadline;
 
     fn scalar_score(arcs: &[Vec<Arc>], theta: &[f32], eta: f32, mode: DistanceMode) -> f32 {
         arcs.iter()
@@ -1183,8 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn score_until_prefix_is_bit_identical_and_stops_on_expiry() {
-        use halk_obs::Clock;
+    fn chunked_score_slices_are_bit_identical_to_the_full_pass() {
         let rho = 1.0;
         let arcs = grid_arcs(rho);
         let n = 64;
@@ -1198,30 +1134,21 @@ mod tests {
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::LiteralEq16);
         let full = scorer.score_all(&trig);
 
-        // Unarmed deadline: everything scored, bit-identical to score_all.
+        // Consecutive 16-row slices cover the table bit-identically.
         let mut out = vec![f32::INFINITY; n];
-        let done = scorer.score_until(&trig, 0, &mut out, 16, &Deadline::never());
-        assert_eq!(done, n);
+        for (c, chunk) in out.chunks_mut(16).enumerate() {
+            scorer.score_slice(&trig, c * 16, chunk);
+        }
         assert!(full
             .iter()
             .zip(&out)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
 
-        // An expired mock deadline stops at the first slice boundary:
-        // zero rows scored, the buffer untouched.
-        let (clock, now) = Clock::mock();
-        let d = Deadline::at_ns(&clock, 1);
-        now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let mut partial = vec![f32::INFINITY; n];
-        assert_eq!(scorer.score_until(&trig, 0, &mut partial, 16, &d), 0);
-        assert!(partial.iter().all(|s| s.is_infinite()));
-
-        // Partial run resumed from row `done` equals the full pass.
+        // A pass stopped halfway and resumed from row n / 2 equals the full pass.
         let mut halves = vec![f32::INFINITY; n];
-        let first = scorer.score_until(&trig, 0, &mut halves[..n / 2], 16, &Deadline::never());
-        assert_eq!(first, n / 2);
-        let second = scorer.score_until(&trig, n / 2, &mut halves[n / 2..], 16, &Deadline::never());
-        assert_eq!(second, n / 2);
+        let (first, second) = halves.split_at_mut(n / 2);
+        scorer.score_slice(&trig, 0, first);
+        scorer.score_slice(&trig, n / 2, second);
         assert!(full
             .iter()
             .zip(&halves)
@@ -1368,6 +1295,25 @@ mod tests {
         }
     }
 
+    /// Top-`k` of one query through the sharded sweep over `n_shards` arc
+    /// shards of `table` stored at `precision`.
+    fn one_query_top_k(
+        table: &Tensor,
+        n_shards: usize,
+        precision: Precision,
+        scorer: &ArcScorer,
+        k: usize,
+        deadline: &Deadline,
+    ) -> crate::shard::ShardedTopK {
+        use crate::shard::{sharded_top_k_timed, ArcShards, ShardedTrig};
+        let sharded =
+            ShardedTrig::with_precision(table, &ArcShards::new(table.rows, n_shards), precision);
+        let pool = halk_par::Pool::new(1);
+        let scorers = std::slice::from_ref(scorer);
+        let (mut out, _) = sharded_top_k_timed(&pool, &sharded, scorers, &[k], &[deadline], None);
+        out.pop().expect("one query in, one result out")
+    }
+
     #[test]
     fn quantized_top_k_ranks_match_exact_on_separated_scores() {
         // Rank equivalence on a table whose score gaps dwarf the i16
@@ -1385,11 +1331,10 @@ mod tests {
         let exact = scorer.score_all(&EntityTrig::new(&table));
         let want = top_k_indices(&exact, 10);
 
-        let q = EntityTrig::with_precision(&table, Precision::I16);
-        let mut heap = TopK::new(10);
-        let rows = scorer.top_k_until(&q, 0, &mut heap, &Deadline::never());
+        let never = Deadline::never();
+        let (hits, rows) = one_query_top_k(&table, 1, Precision::I16, &scorer, 10, &never);
         assert_eq!(rows, n);
-        let got: Vec<u32> = heap.into_sorted().iter().map(|&(i, _)| i).collect();
+        let got: Vec<u32> = hits.iter().map(|&(i, _)| i).collect();
         assert_eq!(got, want, "i16 top-k order drifted from exact");
     }
 
@@ -1411,10 +1356,9 @@ mod tests {
         let full = scorer.score_all(&trig);
         let want = top_k_indices(&full, 10);
 
-        let mut heap = TopK::new(10);
-        let rows = scorer.top_k_until(&trig, 0, &mut heap, &Deadline::never());
+        let never = Deadline::never();
+        let (got, rows) = one_query_top_k(&table, 1, Precision::F32, &scorer, 10, &never);
         assert_eq!(rows, n);
-        let got = heap.into_sorted();
         assert_eq!(got.len(), want.len());
         for (&w, &(i, s)) in want.iter().zip(&got) {
             assert_eq!(i, w);
@@ -1426,8 +1370,8 @@ mod tests {
         let (clock, now) = Clock::mock();
         let d = Deadline::at_ns(&clock, 1);
         now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let mut h2 = TopK::new(10);
-        assert_eq!(scorer.top_k_until(&trig, 0, &mut h2, &d), 0);
-        assert!(h2.is_empty());
+        let (hits, rows) = one_query_top_k(&table, 1, Precision::F32, &scorer, 10, &d);
+        assert_eq!(rows, 0);
+        assert!(hits.is_empty());
     }
 }

@@ -12,6 +12,9 @@
 //! trig table plus `k` heap entries — the prerequisite for the NUMA /
 //! multi-process layouts on the roadmap.
 //!
+//! [`sharded_top_k_timed`] is the repo's one top-k entry: serve sweeps its
+//! resident shards through it, and pruning sweeps a one-shard table.
+//!
 //! Bit-identity: shard boundaries are aligned to `SCORE_SLICE` rows, rows
 //! are scored independently, and the `(score, index)` ranking is a strict
 //! total order (see [`TopK`]), so the merged selection equals the
@@ -82,15 +85,11 @@ pub struct ShardedTrig {
 }
 
 impl ShardedTrig {
-    /// Precomputes per-shard trig for an angle table under `parts` at full
-    /// precision.
-    pub fn new(table: &Tensor, parts: &ArcShards) -> Self {
-        Self::with_precision(table, parts, Precision::F32)
-    }
-
-    /// [`ShardedTrig::new`] at an explicit storage [`Precision`]: every
-    /// shard stores its trig slice in the same quantized format, so the
-    /// per-shard resident bytes shrink by the precision's width ratio.
+    /// Precomputes per-shard trig for an angle table under `parts` at a
+    /// storage [`Precision`]: every shard stores its trig slice in the same
+    /// format, so quantized modes shrink the per-shard resident bytes by the
+    /// precision's width ratio. `Precision::F32` rows are bit-identical to
+    /// the same rows of a whole-table [`EntityTrig::new`].
     pub fn with_precision(table: &Tensor, parts: &ArcShards, precision: Precision) -> Self {
         assert_eq!(parts.n_entities(), table.rows, "shard/table row mismatch");
         // Table builds are the expensive cold-start event; the warm-start
@@ -175,28 +174,6 @@ impl ShardedTrig {
 /// it did not).
 pub type ShardedTopK = (Vec<(u32, f32)>, usize);
 
-/// Scores a *group* of queries against every shard and merges per-shard
-/// bounded heaps: query `q` gets the top `ks[q]` entities under scorer
-/// `scorers[q]` and deadline `deadlines[q]`. Shards fan out across the
-/// pool ([`Pool::par_shards`]); within a shard the sweep is slice-major
-/// over the group so one hot trig slice serves every query before moving
-/// on — the "one kernel pass per shard" of skeleton batching. Deadlines
-/// are checked per query at every slice boundary (exact
-/// [`ArcScorer::score_until`] semantics); an expired query stops scoring
-/// on all shards while the rest of the group continues.
-///
-/// The merged selection is bit-identical to running each query alone on
-/// one shard with the full-vector [`crate::top_k_indices`] reference.
-pub fn sharded_top_k(
-    pool: &Pool,
-    sharded: &ShardedTrig,
-    scorers: &[ArcScorer],
-    ks: &[usize],
-    deadlines: &[&Deadline],
-) -> Vec<ShardedTopK> {
-    sharded_top_k_tagged(pool, sharded, scorers, ks, deadlines, None)
-}
-
 /// Where a sharded sweep spent its wall time: the parallel per-shard
 /// scoring region vs. the coordinator's heap merge. Feeds the per-phase
 /// breakdown of serve's slow-query log (DESIGN.md §16).
@@ -208,26 +185,27 @@ pub struct SweepTiming {
     pub merge_us: u64,
 }
 
-/// [`sharded_top_k`] with an optional trace tag: when tracing is enabled,
-/// every shard's sweep opens a `shard_sweep` span whose detail carries the
-/// shard index plus `tag` (serve passes the group's `req=...` ids), so a
-/// request's hop chain extends into the per-shard workers (DESIGN.md §16).
-/// Scoring is unaffected; with tracing off the extra cost is one relaxed
-/// load per shard.
-pub fn sharded_top_k_tagged(
-    pool: &Pool,
-    sharded: &ShardedTrig,
-    scorers: &[ArcScorer],
-    ks: &[usize],
-    deadlines: &[&Deadline],
-    tag: Option<&str>,
-) -> Vec<ShardedTopK> {
-    sharded_top_k_timed(pool, sharded, scorers, ks, deadlines, tag).0
-}
-
-/// [`sharded_top_k_tagged`] that also reports where the wall time went
-/// (score sweep vs. coordinator merge). The timing is observational only —
-/// results are bit-identical to the untimed path.
+/// Scores a *group* of queries against every shard and merges per-shard
+/// bounded heaps: query `q` gets the top `ks[q]` entities under scorer
+/// `scorers[q]` and deadline `deadlines[q]`. Shards fan out across the
+/// pool ([`Pool::par_shards`]); within a shard the sweep is slice-major
+/// over the group so one hot trig slice serves every query before moving
+/// on — the "one kernel pass per shard" of skeleton batching. Deadlines
+/// are checked per query at every [`SCORE_SLICE`] boundary, never per
+/// entity; an expired query stops scoring on all shards while the rest of
+/// the group continues, and its rows-scored count is the union of the
+/// per-shard prefixes.
+///
+/// The merged selection is bit-identical to running each query alone on
+/// one shard with the full-vector [`crate::top_k_indices`] reference.
+///
+/// With `tag` set and tracing enabled, every shard's sweep opens a
+/// `shard_sweep` span whose detail carries the shard index plus `tag`
+/// (serve passes the group's `req=...` ids), so a request's hop chain
+/// extends into the per-shard workers (DESIGN.md §16). The returned
+/// [`SweepTiming`] says where the wall time went (score sweep vs.
+/// coordinator merge). Both are observational only: results do not depend
+/// on them, and with tracing off the tag costs one relaxed load per shard.
 pub fn sharded_top_k_timed(
     pool: &Pool,
     sharded: &ShardedTrig,

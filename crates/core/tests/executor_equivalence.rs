@@ -10,7 +10,7 @@
 //! once per parameter state, never once per structure.
 
 use halk_core::{
-    evaluate_structure_exec, evaluate_structure_pool, sharded_top_k, top_k_indices, EvalCell,
+    evaluate_structure_exec, evaluate_structure_pool, sharded_top_k_timed, top_k_indices, EvalCell,
     ExecBackend, ExecConfig, Executor, HalkConfig, HalkModel, Pool, QueryModel, ShapeKey,
     TrainExample,
 };
@@ -203,7 +203,8 @@ impl ExecBackend for TopKBackend<'_> {
         let ks = vec![self.k; jobs.len()];
         let never = Deadline::never();
         let deadlines: Vec<&Deadline> = jobs.iter().map(|_| &never).collect();
-        sharded_top_k(&exec.pool(), &sharded, &scorers, &ks, &deadlines)
+        sharded_top_k_timed(&exec.pool(), &sharded, &scorers, &ks, &deadlines, None)
+            .0
             .into_iter()
             .map(|(hits, _)| hits.into_iter().map(|(e, _)| e).collect())
             .collect()

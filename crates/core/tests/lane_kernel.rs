@@ -11,7 +11,6 @@ use halk_core::{
     top_k_indices, ArcScorer, DistanceMode, EntityTrig, Precision, TopK, LANES, SCORE_SLICE,
 };
 use halk_nn::Tensor;
-use halk_obs::Deadline;
 use proptest::prelude::*;
 
 /// The row-major kernel restated: compile each branch's per-dim arc trig
@@ -143,8 +142,8 @@ proptest! {
         let trig = EntityTrig::with_precision(&table, precision);
         let scorer = ArcScorer::from_params(&branches, 1.3, 0.07, mode);
 
-        // Unaligned [row0, row0 + len) through score_slice (min-folding into
-        // a prefilled buffer) and score_until at small slice sizes.
+        // Unaligned [row0, row0 + len) through score_slice, min-folding into
+        // a prefilled buffer, and as consecutive chunks of slice_rows rows.
         let row0 = (start % n as u64) as usize;
         let len = (len % (n - row0 + 1) as u64) as usize;
         let want = &full[row0..row0 + len];
@@ -153,20 +152,29 @@ proptest! {
         scorer.score_slice(&trig, row0, &mut folded);
         let min_fold: Vec<f32> = pre.iter().zip(want).map(|(p, w)| p.min(*w)).collect();
         prop_assert!(same_bits(&folded, &min_fold));
-        let mut until = vec![f32::INFINITY; len];
-        let done = scorer.score_until(&trig, row0, &mut until, slice_rows, &Deadline::never());
-        prop_assert_eq!(done, len);
-        prop_assert!(same_bits(&until, want));
+        let mut chunked = vec![f32::INFINITY; len];
+        for (c, chunk) in chunked.chunks_mut(slice_rows).enumerate() {
+            scorer.score_slice(&trig, row0 + c * slice_rows, chunk);
+        }
+        prop_assert!(same_bits(&chunked, want));
 
         // A shard starting at the unaligned row0, built both from the angle
-        // table and by re-slicing the full-precision table: streaming top-k
-        // with a global offset equals the full-vector reference's.
+        // table and by re-slicing the full-precision table: chunked slices
+        // offered into a heap at the global offset select what the
+        // full-vector reference does.
         let shard = EntityTrig::from_rows_with(&table, row0..row0 + len, precision);
         let resliced = EntityTrig::with_precision(&table, Precision::F32).slice_rows(row0..row0 + len, precision);
         for part in [&shard, &resliced] {
             prop_assert!(same_bits(&scorer.score_all(part), want));
             let mut heap = TopK::new(slice_rows);
-            prop_assert_eq!(scorer.top_k_until(part, row0, &mut heap, &Deadline::never()), len);
+            let mut out = vec![f32::INFINITY; len];
+            for (c, chunk) in out.chunks_mut(slice_rows).enumerate() {
+                scorer.score_slice(part, c * slice_rows, chunk);
+                for (j, &s) in chunk.iter().enumerate() {
+                    heap.offer((row0 + c * slice_rows + j) as u32, s);
+                }
+            }
+            prop_assert!(same_bits(&out, want));
             let got = heap.into_sorted();
             let local = top_k_indices(want, slice_rows);
             prop_assert_eq!(got.len(), local.len());

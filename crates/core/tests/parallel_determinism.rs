@@ -7,12 +7,13 @@
 //! (DESIGN.md §9).
 
 use halk_core::{
-    evaluate_structure_pool, evaluate_table_pool, HalkConfig, HalkModel, Pool, QueryModel,
-    TrainExample,
+    evaluate_structure_pool, evaluate_table_pool, sharded_top_k_timed, HalkConfig, HalkModel, Pool,
+    Precision, QueryModel, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::{answers, Sampler, Structure};
 use halk_nn::checkpoint;
+use halk_obs::Deadline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -143,17 +144,37 @@ fn sharded_scoring_is_bit_identical_to_sequential() {
     let model = HalkModel::new(&g, HalkConfig::tiny());
     let sampler = Sampler::new(&g);
     let mut rng = StdRng::seed_from_u64(53);
-    let trig = model.entity_trig();
-    let mut seq = Vec::new();
-    let mut par = Vec::new();
+    let n = model.n_entities();
+    let never = Deadline::never();
+    let tables = [1, 4].map(|shards| (shards, model.entity_shards_with(shards, Precision::F32)));
     for s in [Structure::P1, Structure::Up, Structure::In2] {
         let gq = sampler.sample(s, &mut rng).expect("groundable");
-        model.score_all_with(&trig, &gq.query, &mut seq);
+        let seq = model.score_all(&gq.query);
+        let seq_bits: Vec<u32> = seq.iter().map(|x| x.to_bits()).collect();
+        let scorers = [model.scorer_for(&gq.query)];
         for threads in THREADS {
-            model.score_all_with_par(Pool::new(threads), &trig, &gq.query, &mut par);
-            let seq_bits: Vec<u32> = seq.iter().map(|x| x.to_bits()).collect();
-            let par_bits: Vec<u32> = par.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(par_bits, seq_bits, "{s}@{threads} threads");
+            for (shards, sharded) in &tables {
+                // A full ranking (k = n) hands back every entity's score.
+                let (mut out, _) = sharded_top_k_timed(
+                    &Pool::new(threads),
+                    sharded,
+                    &scorers,
+                    &[n],
+                    &[&never],
+                    None,
+                );
+                let (hits, rows) = out.pop().expect("one query in, one result out");
+                assert_eq!(rows, n, "{s}@{threads} threads, {shards} shards");
+                let mut par_bits = vec![None; n];
+                for (e, score) in hits {
+                    par_bits[e as usize] = Some(score.to_bits());
+                }
+                let par_bits: Vec<u32> = par_bits
+                    .into_iter()
+                    .map(|b| b.expect("every entity ranked"))
+                    .collect();
+                assert_eq!(par_bits, seq_bits, "{s}@{threads} threads, {shards} shards");
+            }
         }
     }
 }

@@ -124,11 +124,14 @@ fn sharded_quantized_top_k_matches_unsharded_quantized_ranking() {
     let pool = halk_par::Pool::new(2);
     let sharded = model.entity_shards_with(4, Precision::I16);
     let trig = model.entity_trig_with(Precision::I16);
+    let never = halk_obs::Deadline::never();
     let mut scores = Vec::new();
     for t in &graph.triples()[..8] {
         let query = Query::atom(t.h, t.r);
-        let (hits, scored) =
-            model.top_k_sharded(&pool, &sharded, &query, 10, &halk_obs::Deadline::never());
+        let scorers = [model.scorer_for(&query)];
+        let (mut out, _) =
+            halk_core::sharded_top_k_timed(&pool, &sharded, &scorers, &[10], &[&never], None);
+        let (hits, scored) = out.pop().expect("one query in, one result out");
         assert_eq!(scored, graph.n_entities());
         model.score_all_with(&trig, &query, &mut scores);
         let want = halk_core::top_k_indices(&scores, 10);

@@ -1,5 +1,5 @@
 //! Sharded streaming top-k bit-identity suite (PR 7). The arc-sharded
-//! heap path (`entity_shards` + `top_k_sharded` / `sharded_top_k`) is an
+//! heap path (`entity_shards_with` + `sharded_top_k_timed`) is an
 //! *optimization* of `score_all` + `top_k_indices`, not a semantic change;
 //! this file pins that down the same way `hotpath_equivalence.rs` pins the
 //! vectorized kernel:
@@ -10,7 +10,7 @@
 //! 2. batched plan embedding: `scorers_for_shape` over a same-skeleton
 //!    group scores bit-identically to each query embedded alone;
 //! 3. deadlines: an already-expired deadline scores zero rows; `never`
-//!    scores all of them;
+//!    scores all of them, also when both sit in one group;
 //! 4. proptest: `ArcShards` is always a contiguous slice-aligned cover,
 //!    and merge-k over *arbitrary* (not just contiguous) partitions of a
 //!    tie-heavy score vector matches `top_k_indices` — the heap merge is
@@ -22,7 +22,10 @@
 //! inside `TopK` coincides with the reference's `partial_cmp`-then-index
 //! ordering. Synthetic vectors below stay in that domain on purpose.
 
-use halk_core::{top_k_indices, HalkConfig, HalkModel, Pool, TopK, SCORE_SLICE};
+use halk_core::{
+    sharded_top_k_timed, top_k_indices, HalkConfig, HalkModel, Pool, Precision, ShardedTopK,
+    ShardedTrig, TopK, SCORE_SLICE,
+};
 use halk_kg::{generate, SynthConfig};
 use halk_logic::plan::PlanShape;
 use halk_logic::{Sampler, Structure};
@@ -67,6 +70,22 @@ fn setup() -> &'static Setup {
     })
 }
 
+/// One query's top-`k` through the sharded sweep.
+fn one_query_top_k(
+    pool: &Pool,
+    sharded: &ShardedTrig,
+    model: &HalkModel,
+    query: &halk_logic::Query,
+    k: usize,
+    deadline: &Deadline,
+) -> ShardedTopK {
+    let scorers = [model.scorer_for(query)];
+    sharded_top_k_timed(pool, sharded, &scorers, &[k], &[deadline], None)
+        .0
+        .pop()
+        .expect("one query in, one result out")
+}
+
 /// The reference: full score vector, then the argsort-style selection.
 fn reference(model: &HalkModel, query: &halk_logic::Query, k: usize) -> Vec<(u32, f32)> {
     let scores = model.score_all(query);
@@ -85,9 +104,9 @@ fn sharded_top_k_is_bit_identical_across_shard_counts_and_k() {
         for k in [0, 1, 10, setup.n, setup.n + 37] {
             let want = reference(&setup.model, query, k);
             for shards in [1, 2, 4, 8] {
-                let sharded = setup.model.entity_shards(shards);
+                let sharded = setup.model.entity_shards_with(shards, Precision::F32);
                 assert_eq!(sharded.n_entities(), setup.n);
-                let (got, rows) = setup.model.top_k_sharded(&pool, &sharded, query, k, &never);
+                let (got, rows) = one_query_top_k(&pool, &sharded, &setup.model, query, k, &never);
                 assert_eq!(rows, setup.n, "never-deadline must score every row");
                 assert_eq!(
                     got.len(),
@@ -130,13 +149,10 @@ fn batched_scorers_match_single_query_embedding() {
     let scorers = setup.model.scorers_for_shape(&shape, &refs);
     assert_eq!(scorers.len(), group.len());
     let trig = setup.model.entity_trig();
-    let never = Deadline::never();
     let mut batched = Vec::new();
     for (scorer, query) in scorers.iter().zip(&group) {
-        batched.clear();
-        batched.resize(trig.n_entities(), f32::INFINITY);
-        let rows = scorer.score_until(&trig, 0, &mut batched, SCORE_SLICE, &never);
-        assert_eq!(rows, trig.n_entities());
+        scorer.score_into(&trig, &mut batched);
+        assert_eq!(batched.len(), trig.n_entities());
         let single = setup.model.score_all(query);
         for (i, (&b, &s)) in batched.iter().zip(&single).enumerate() {
             assert_eq!(
@@ -153,20 +169,59 @@ fn expired_deadline_scores_nothing_and_never_scores_everything() {
     let setup = setup();
     let query = &setup.queries[0];
     let pool = Pool::new(1);
-    let sharded = setup.model.entity_shards(4);
+    let sharded = setup.model.entity_shards_with(4, Precision::F32);
     let (clock, now) = Clock::mock();
     now.store(1_000, std::sync::atomic::Ordering::SeqCst);
     let expired = Deadline::at_ns(&clock, 500);
-    let (hits, rows) = setup
-        .model
-        .top_k_sharded(&pool, &sharded, query, 10, &expired);
+    let (hits, rows) = one_query_top_k(&pool, &sharded, &setup.model, query, 10, &expired);
     assert_eq!(rows, 0, "expired before the first slice: nothing scored");
     assert!(hits.is_empty());
-    let (hits, rows) = setup
-        .model
-        .top_k_sharded(&pool, &sharded, query, 10, &Deadline::never());
+    let never = Deadline::never();
+    let (hits, rows) = one_query_top_k(&pool, &sharded, &setup.model, query, 10, &never);
     assert_eq!(rows, setup.n);
     assert_eq!(hits.len(), 10);
+}
+
+/// One group mixing an expired deadline with two live ones: the expired
+/// query stops before its first slice, and the live ones are untouched by
+/// it — bit-identical to their full-vector reference, each at its own k.
+#[test]
+fn mixed_deadline_group_drops_only_the_expired_query() {
+    let setup = setup();
+    let query = &setup.queries[0];
+    let other = setup.queries.last().expect("non-empty");
+    let scorers = [
+        setup.model.scorer_for(query),
+        setup.model.scorer_for(query),
+        setup.model.scorer_for(other),
+    ];
+    let ks = [10, 10, 3];
+    let (clock, now) = Clock::mock();
+    now.store(1_000, std::sync::atomic::Ordering::SeqCst);
+    let expired = Deadline::at_ns(&clock, 500);
+    let never = Deadline::never();
+    let deadlines = [&expired, &never, &never];
+    let pool = Pool::new(2);
+    for shards in [1, 4] {
+        let sharded = setup.model.entity_shards_with(shards, Precision::F32);
+        let (got, _) = sharded_top_k_timed(&pool, &sharded, &scorers, &ks, &deadlines, None);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0], (vec![], 0), "shards={shards}: expired query");
+        for (q, live) in [(1, query), (2, other)] {
+            let (hits, rows) = &got[q];
+            assert_eq!(*rows, setup.n, "shards={shards} query {q}: rows scored");
+            let want = reference(&setup.model, live, ks[q]);
+            assert_eq!(hits.len(), want.len(), "shards={shards} query {q}");
+            for (&(gi, gs), &(wi, ws)) in hits.iter().zip(&want) {
+                assert_eq!(gi, wi, "shards={shards} query {q}: entity");
+                assert_eq!(
+                    gs.to_bits(),
+                    ws.to_bits(),
+                    "shards={shards} query {q}: bits"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -497,7 +497,10 @@ mod tests {
         assert_eq!(g.neighbors(EntityId(3), RelationId(1)), &[] as &[u32]);
     }
 
-    fn csr_parts_of(g: &Graph) -> (Vec<(Vec<u32>, Vec<u32>)>, Vec<(Vec<u32>, Vec<u32>)>) {
+    /// Per-relation `(offsets, targets)` copies of one CSR direction.
+    type CsrParts = Vec<(Vec<u32>, Vec<u32>)>;
+
+    fn csr_parts_of(g: &Graph) -> (CsrParts, CsrParts) {
         let grab = |f: &dyn Fn(usize) -> (Vec<u32>, Vec<u32>)| {
             (0..g.n_relations()).map(f).collect::<Vec<_>>()
         };

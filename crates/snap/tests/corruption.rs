@@ -29,10 +29,7 @@ fn snapshot() -> &'static [u8] {
 
 /// Extracts the decode error without needing `Debug` on the success pair.
 fn decode_err(buf: &[u8]) -> Option<SnapError> {
-    match from_bytes(buf) {
-        Ok(_) => None,
-        Err(e) => Some(e),
-    }
+    from_bytes(buf).err()
 }
 
 proptest! {

@@ -253,8 +253,8 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
     cmp model_exec_1/params.ckpt model_exec_4/params.ckpt
 )
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
