@@ -32,10 +32,10 @@
 //! executor (`halk_core::exec`, ISSUE 9) with a serve-style backend, so
 //! `--compare` gates the executor's envelope (keying, grouping, obs,
 //! scatter) on top of the raw batched kernel it wraps. The v8 schema adds
-//! the windowed-histogram record pair (ISSUE 10): `windowed_record_disarmed`
-//! (the default for batch binaries — one relaxed load + branch, same
-//! contract as `tracing_overhead_disabled`) and `windowed_record_armed`
-//! (what a live daemon pays per latency sample).
+//! the windowed-histogram record pair: `windowed_record_disarmed` (the
+//! default for batch binaries — the cumulative adds plus the arm-flag
+//! check) and `windowed_record_armed` (what a live daemon pays per
+//! latency sample); both time one `record` on a windowed histogram.
 //!
 //! Usage:
 //!   bench_hotpath [--smoke] [--out <path>] [--compare <old.json>]
@@ -222,19 +222,23 @@ fn main() {
     });
     record("tracing_overhead_disabled", ns_span, span_iters);
 
-    // --- windowed-histogram record path (PR 10). Disarmed (the default
-    // for every batch binary) must cost one relaxed load + branch, the
-    // same contract as disabled tracing; the unconditional path is what a
-    // live daemon pays per latency sample — an Acquire slot-index load
-    // plus two relaxed fetch_adds.
-    let wh = halk_obs::window::histogram("bench_windowed_record_us");
+    // --- windowed-histogram record path: one `record` on a windowed
+    // histogram handle. Disarmed (the default for every batch binary) it
+    // pays the cumulative two relaxed adds plus the ring-presence check
+    // and the arm-flag load; armed it is what a live daemon pays per
+    // latency sample, adding an Acquire slot-index load and two more
+    // relaxed fetch_adds into the ring. Disarmed again afterwards so later
+    // entries run as before.
+    let wh = halk_obs::histogram!("bench_windowed_record_us", windowed);
     let ns_disarmed = median_ns(samples, span_iters, || {
         wh.record(black_box(137));
     });
     record("windowed_record_disarmed", ns_disarmed, span_iters);
+    halk_obs::window::set_enabled(true);
     let ns_armed = median_ns(samples, span_iters, || {
-        wh.record_unconditional(black_box(137));
+        wh.record(black_box(137));
     });
+    halk_obs::window::set_enabled(false);
     record("windowed_record_armed", ns_armed, span_iters);
 
     // --- one optimizer step (embed + loss + backward + Adam), pooled tape.

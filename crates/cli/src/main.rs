@@ -804,11 +804,11 @@ fn render_top(addr: &str, v: &serde_json::Value, stats: Option<&[(String, u64)]>
         wrate("halk_exec_cache_builds_total"),
         wrate("halk_serve_slow_queries_total"),
     );
-    // Pool load per labeled region: windowed busy/wall is the mean number
-    // of active workers over the window (can exceed 1.0).
+    // Pool load per labeled region: the windowed busy/wall sums give the
+    // mean number of active workers over the window (can exceed 1.0).
     if let serde_json::Value::Object(fields) = v
         .get("window")
-        .and_then(|w| w.get("counters"))
+        .and_then(|w| w.get("histograms"))
         .unwrap_or(&serde_json::Value::Null)
     {
         let mut any = false;
@@ -816,9 +816,8 @@ fn render_top(addr: &str, v: &serde_json::Value, stats: Option<&[(String, u64)]>
             let Some(region) = name.strip_prefix("halk_pool_wall_us_") else {
                 continue;
             };
-            let busy_name = format!("halk_pool_busy_us_{region}");
-            let wall = json_num(v, &["window", "counters", name.as_str(), "total"]);
-            let busy = json_num(v, &["window", "counters", busy_name.as_str(), "total"]);
+            let wall = wq(name, "sum");
+            let busy = wq(&format!("halk_pool_busy_us_{region}"), "sum");
             if wall > 0.0 {
                 if !any {
                     let _ = write!(out, "pool      ");
@@ -928,6 +927,29 @@ mod tests {
             format!("SELECT ?x WHERE {{ e:{} r:{} ?x . }}", t.h.0, t.r.0),
         ])
         .unwrap();
+    }
+
+    #[test]
+    fn render_top_reads_window_rates_quantiles_and_pool_sums() {
+        let v: serde_json::Value = serde_json::from_str(
+            r#"{"cumulative":{"counters":{"halk_serve_requests_total":900}},
+                "window":{"window_us":60000000,
+                  "counters":{"halk_serve_requests_total":{"total":150,"rate":2.5}},
+                  "histograms":{
+                    "halk_serve_latency_us":{"count":150,"sum":9000,"p50":63,"p99":511},
+                    "halk_pool_wall_us_model_batch":{"count":10,"sum":4000,"p50":511,"p99":511},
+                    "halk_pool_busy_us_model_batch":{"count":20,"sum":7000,"p50":511,"p99":511}}},
+                "health":{"shards":2,"precision":"f32"}}"#,
+        )
+        .unwrap();
+        let out = render_top("127.0.0.1:9", &v, None);
+        assert!(out.contains("rolling window 60s"), "{out}");
+        assert!(
+            out.contains("requests         2.5/s   total        900"),
+            "{out}"
+        );
+        assert!(out.contains("p99      511us"), "{out}");
+        assert!(out.contains("pool      model_batch x1.8"), "{out}");
     }
 
     #[test]

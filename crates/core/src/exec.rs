@@ -305,14 +305,12 @@ impl Executor {
         let mut st = self.cache.lock().expect("exec cache");
         st.roll_to(version);
         if let Some(cache) = &st.score {
-            halk_obs::counter!("halk_exec_cache_hits_total").inc();
-            halk_obs::windowed_counter!("halk_exec_cache_hits_total").inc();
+            halk_obs::counter!("halk_exec_cache_hits_total", windowed).inc();
             return Some(cache.clone());
         }
         let built = model.score_cache().map(Arc::new);
         if built.is_some() {
-            halk_obs::counter!("halk_exec_cache_builds_total").inc();
-            halk_obs::windowed_counter!("halk_exec_cache_builds_total").inc();
+            halk_obs::counter!("halk_exec_cache_builds_total", windowed).inc();
         }
         st.score = built.clone();
         built
@@ -327,8 +325,7 @@ impl Executor {
         let mut st = self.cache.lock().expect("exec cache");
         st.roll_to(version);
         if let Some(sharded) = &st.sharded {
-            halk_obs::counter!("halk_exec_cache_hits_total").inc();
-            halk_obs::windowed_counter!("halk_exec_cache_hits_total").inc();
+            halk_obs::counter!("halk_exec_cache_hits_total", windowed).inc();
             return sharded.clone();
         }
         let shards = if self.shards == 0 {
@@ -338,8 +335,7 @@ impl Executor {
         }
         .max(1);
         let built = Arc::new(model.entity_shards_with(shards, self.precision));
-        halk_obs::counter!("halk_exec_cache_builds_total").inc();
-        halk_obs::windowed_counter!("halk_exec_cache_builds_total").inc();
+        halk_obs::counter!("halk_exec_cache_builds_total", windowed).inc();
         st.sharded = Some(built.clone());
         built
     }

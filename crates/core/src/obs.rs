@@ -16,6 +16,11 @@
 //!   busy time and `sum` vs. `wall × workers` gives utilization);
 //! - `halk_pool_regions_total_<region>` — counter of regions executed.
 //!
+//! Both histograms are windowed, so a serving daemon also exposes their
+//! rolling `_window_sum`s; busy/wall over the window is the per-region
+//! load `halk top` prints. While the window layer is disarmed (every batch
+//! binary) the windowed part costs one branch per record.
+//!
 //! The worker-exit hook flushes each pool worker's trace buffer before its
 //! closure returns: `std::thread::scope` waits for the closure, not for
 //! thread-local destructors, so without this a trace file read shortly
@@ -35,19 +40,11 @@ pub fn install() {
 fn on_pool_stats(s: &halk_par::PoolStats) {
     halk_obs::metrics::counter(&format!("halk_pool_regions_total_{}", s.region)).inc();
     halk_obs::metrics::histogram(&format!("halk_pool_wall_us_{}", s.region))
+        .windowed()
         .record(s.wall_ns / 1_000);
-    let busy = halk_obs::metrics::histogram(&format!("halk_pool_busy_us_{}", s.region));
+    let busy = halk_obs::metrics::histogram(&format!("halk_pool_busy_us_{}", s.region)).windowed();
     for &ns in &s.busy_ns {
         busy.record(ns / 1_000);
-    }
-    // Rolling wall/busy totals feed the live per-shard busy% in `halk top`
-    // (busy/wall over the window). One branch each when windowed
-    // collection is disarmed; the hook fires once per region, not per row.
-    if halk_obs::window::enabled() {
-        halk_obs::window::counter(&format!("halk_pool_wall_us_{}", s.region))
-            .add_unconditional(s.wall_ns / 1_000);
-        halk_obs::window::counter(&format!("halk_pool_busy_us_{}", s.region))
-            .add_unconditional(s.busy_ns.iter().map(|ns| ns / 1_000).sum());
     }
 }
 

@@ -443,7 +443,7 @@ impl EntityTrig {
 /// therefore yields *bit-identically* the same selection as
 /// `top_k_indices`, in any offer order and under any partition of the rows
 /// (distinct indices make the total order strict, so the k-smallest set is
-/// unique). The backing buffer is reusable via [`TopK::reset`].
+/// unique).
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
@@ -464,13 +464,6 @@ impl TopK {
             k,
             heap: Vec::with_capacity(k.min(4096)),
         }
-    }
-
-    /// Clears the accumulator for a new sweep with bound `k`, keeping the
-    /// backing allocation.
-    pub fn reset(&mut self, k: usize) {
-        self.k = k;
-        self.heap.clear();
     }
 
     /// The configured bound.
@@ -519,21 +512,11 @@ impl TopK {
         }
     }
 
-    /// Drains the kept entries into `out` (cleared first) in ascending rank
-    /// order — the order [`top_k_indices`] returns — keeping both
-    /// allocations for reuse.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u32, f32)>) {
-        self.heap.sort_unstable_by(|&a, &b| rank_cmp(a, b));
-        out.clear();
-        out.extend(self.heap.iter().map(|&(s, i)| (i, s)));
-        self.heap.clear();
-    }
-
-    /// The kept entries in ascending rank order, consuming the accumulator.
+    /// The kept entries in ascending rank order — the order
+    /// [`top_k_indices`] returns — consuming the accumulator.
     pub fn into_sorted(mut self) -> Vec<(u32, f32)> {
-        let mut out = Vec::new();
-        self.drain_sorted_into(&mut out);
-        out
+        self.heap.sort_unstable_by(|&a, &b| rank_cmp(a, b));
+        self.heap.into_iter().map(|(s, i)| (i, s)).collect()
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -1166,7 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn topk_heap_matches_reference_with_ties_and_reuse() {
+    fn topk_heap_matches_reference_with_ties() {
         let scores = vec![3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 9.0, 1.0];
         for k in [0, 1, 4, scores.len(), scores.len() + 5] {
             let mut heap = TopK::new(k);
@@ -1176,17 +1159,6 @@ mod tests {
             let got: Vec<u32> = heap.into_sorted().iter().map(|&(i, _)| i).collect();
             assert_eq!(got, top_k_indices(&scores, k), "k={k}");
         }
-        // reset() keeps the buffer but clears state and changes the bound.
-        let mut heap = TopK::new(2);
-        heap.offer(0, 1.0);
-        heap.reset(3);
-        for (i, &s) in scores.iter().enumerate() {
-            heap.offer(i as u32, s);
-        }
-        let mut out = Vec::new();
-        heap.drain_sorted_into(&mut out);
-        assert_eq!(out.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [4, 1, 3]);
-        assert!(heap.is_empty());
     }
 
     #[test]

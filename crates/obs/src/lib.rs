@@ -1,7 +1,7 @@
 //! Dependency-free observability for the HaLk workspace, in the style of
 //! `halk-par`: no external crates, no `unsafe`, nothing but `std`.
 //!
-//! Three layers, all off by default and all cheap enough to leave compiled
+//! Four layers, all off by default and all cheap enough to leave compiled
 //! into release binaries:
 //!
 //! - **[`trace`]** — span/event tracing to a JSONL file selected by the
@@ -19,11 +19,14 @@
 //!   [`counter!`]/[`gauge!`]/[`histogram!`] macros. Snapshots render in
 //!   Prometheus exposition format or JSON.
 //!
-//! - **[`window`]** — rolling counterparts to the cumulative metrics: a
-//!   ring of log2-bucket histograms rotated on a coarse epoch tick gives
-//!   p50/p99 and rates over the last ~60 s instead of process lifetime.
+//! - **[`window`]** — the rolling view of a metric: a counter or histogram
+//!   registered as windowed (`histogram!(name, windowed)`) owns a ring of
+//!   log2-bucket slots rotated on a coarse epoch tick, which gives p50/p99
+//!   and rates over the last ~60 s instead of process lifetime. Its one
+//!   `record`/`add` call feeds both views; there is no second registry.
 //!   Armed only by the serve daemon ([`window::set_enabled`]); everywhere
-//!   else the record path is one relaxed atomic load and a branch.
+//!   else the windowed part of an update is a ring-presence check plus,
+//!   on a windowed metric, one relaxed load of the arm flag.
 //!
 //! - **[`log`]** — a leveled [`log!`] macro filtered by
 //!   `HALK_LOG=error|warn|info|debug` (default `error`), so warnings that
@@ -88,58 +91,51 @@ macro_rules! log {
     };
 }
 
+/// Caches one interned metric handle per call site behind a `OnceLock`
+/// (the expansion of [`counter!`]/[`gauge!`]/[`histogram!`]).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __interned {
+    ($kind:ident, $init:expr) => {{
+        static SLOT: ::std::sync::OnceLock<&'static $crate::metrics::$kind> =
+            ::std::sync::OnceLock::new();
+        *SLOT.get_or_init(|| $init)
+    }};
+}
+
 /// Interns a [`metrics::Counter`] once per call site and returns the
 /// `&'static` handle (one `OnceLock` load after the first call).
+/// `counter!(name, windowed)` also makes it windowed
+/// ([`metrics::Counter::windowed`]).
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::metrics::Counter> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::metrics::counter($name))
-    }};
+    ($name:expr) => {
+        $crate::__interned!(Counter, $crate::metrics::counter($name))
+    };
+    ($name:expr, windowed) => {
+        $crate::__interned!(Counter, $crate::metrics::counter($name).windowed())
+    };
 }
 
 /// Interns a [`metrics::Gauge`] once per call site.
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::metrics::gauge($name))
-    }};
+    ($name:expr) => {
+        $crate::__interned!(Gauge, $crate::metrics::gauge($name))
+    };
 }
 
-/// Interns a [`metrics::Histogram`] once per call site.
+/// Interns a [`metrics::Histogram`] once per call site;
+/// `histogram!(name, windowed)` also makes it windowed
+/// ([`metrics::Histogram::windowed`]).
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::metrics::histogram($name))
-    }};
-}
-
-/// Interns a [`window::WindowedHistogram`] once per call site. The
-/// convention is to register the same base name as the cumulative
-/// histogram at the same call site; the windowed renderers add a
-/// `_window` suffix.
-#[macro_export]
-macro_rules! windowed_histogram {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::window::WindowedHistogram> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::window::histogram($name))
-    }};
-}
-
-/// Interns a [`window::WindowedCounter`] once per call site.
-#[macro_export]
-macro_rules! windowed_counter {
-    ($name:expr) => {{
-        static SLOT: ::std::sync::OnceLock<&'static $crate::window::WindowedCounter> =
-            ::std::sync::OnceLock::new();
-        *SLOT.get_or_init(|| $crate::window::counter($name))
-    }};
+    ($name:expr) => {
+        $crate::__interned!(Histogram, $crate::metrics::histogram($name))
+    };
+    ($name:expr, windowed) => {
+        $crate::__interned!(Histogram, $crate::metrics::histogram($name).windowed())
+    };
 }
 
 /// Escapes a string for embedding inside a JSON string literal.

@@ -8,6 +8,13 @@
 //! the interned handle per call site behind a `OnceLock`, so steady-state
 //! cost is one atomic load plus the update.
 //!
+//! A counter or histogram can also be *windowed*: `counter!(name,
+//! windowed)` / `histogram!(name, windowed)` attach a rolling ring from
+//! [`crate::window`] to the handle, which every later `add`/`record` also
+//! feeds while that layer is armed. It is still one metric under one name
+//! in this one registry; a plain lookup of the same name returns the same
+//! handle.
+//!
 //! Histograms use fixed base-2 buckets: bucket 0 counts zeros, bucket `i`
 //! (1 ≤ i ≤ 31) counts values in `[2^(i-1), 2^i)`, and the last bucket
 //! absorbs everything at or above `2^30`. Values are unitless `u64`s; the
@@ -17,34 +24,44 @@
 //! format, [`snapshot_json`] as a JSON object; [`write_snapshot`] picks the
 //! format from the file extension (`.prom` → text, anything else → JSON).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use crate::window::{self, WindowedCounter, WindowedHistogram};
 
 /// Number of histogram buckets (bucket 0 plus 31 powers of two).
 pub const N_BUCKETS: usize = 32;
 
-/// A monotonically-increasing counter.
+/// A monotonically-increasing counter, optionally with a rolling window
+/// (see [`Counter::windowed`]).
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
+    window: OnceLock<Box<WindowedCounter>>,
 }
 
 impl Counter {
     /// Increments by one.
     #[inline]
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
-    /// Increments by `n`.
+    /// Increments by `n`, and the rolling window too when this counter is
+    /// windowed and [`window::enabled`].
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
+        // Ring presence first: for a plain counter that is one load from
+        // the cache line the add just touched.
+        if let Some(w) = self.window.get().filter(|_| window::enabled()) {
+            w.add(n);
+        }
     }
 
     /// Current value.
@@ -55,6 +72,19 @@ impl Counter {
     /// Registered name.
     pub fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// Makes this counter windowed (idempotent) and returns it: from now
+    /// on it renders `_window_total`/`_window_rate` series as well. Usually
+    /// reached through `counter!(name, windowed)`.
+    pub fn windowed(&self) -> &Counter {
+        self.window.get_or_init(Box::default);
+        self
+    }
+
+    /// The rolling window, if this counter is windowed.
+    pub fn window(&self) -> Option<&WindowedCounter> {
+        self.window.get().map(|w| &**w)
     }
 }
 
@@ -83,12 +113,14 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket log2 histogram of `u64` samples.
+/// A fixed-bucket log2 histogram of `u64` samples, optionally with a
+/// rolling window (see [`Histogram::windowed`]).
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; N_BUCKETS],
     sum: AtomicU64,
+    window: OnceLock<Box<WindowedHistogram>>,
 }
 
 /// Bucket index for a sample: 0 for 0, else `floor(log2(v)) + 1`, capped.
@@ -103,11 +135,17 @@ pub(crate) fn bucket_of(v: u64) -> usize {
 }
 
 impl Histogram {
-    /// Records one sample (two relaxed atomic adds, no allocation).
+    /// Records one sample (two relaxed atomic adds, no allocation), and
+    /// into the rolling window too when this histogram is windowed and
+    /// [`window::enabled`].
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+        // Ring presence first, as in `Counter::add`.
+        if let Some(w) = self.window.get().filter(|_| window::enabled()) {
+            w.record(v);
+        }
     }
 
     /// Total number of recorded samples.
@@ -137,6 +175,19 @@ impl Histogram {
     pub fn name(&self) -> &'static str {
         self.name
     }
+
+    /// Makes this histogram windowed (idempotent) and returns it: from now
+    /// on it renders `_window` series as well. Usually reached through
+    /// `histogram!(name, windowed)`.
+    pub fn windowed(&self) -> &Histogram {
+        self.window.get_or_init(Box::default);
+        self
+    }
+
+    /// The rolling window, if this histogram is windowed.
+    pub fn window(&self) -> Option<&WindowedHistogram> {
+        self.window.get().map(|w| &**w)
+    }
 }
 
 /// Approximate `q`-quantile of a log2 bucket array: the upper bound of
@@ -161,20 +212,33 @@ pub(crate) fn quantile_from_buckets(buckets: &[u64; N_BUCKETS], q: f64) -> u64 {
     u64::MAX
 }
 
+#[derive(Clone, Copy)]
 enum Entry {
     C(&'static Counter),
     G(&'static Gauge),
     H(&'static Histogram),
 }
 
-fn registry() -> &'static Mutex<HashMap<String, Entry>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<HashMap<String, Entry>>> =
-        std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+/// The one registry, keyed by name; a `BTreeMap` so walks come out
+/// sorted by name.
+static REGISTRY: Mutex<BTreeMap<&'static str, Entry>> = Mutex::new(BTreeMap::new());
+
+/// Returns the entry registered as `name`, registering `make(name)` on
+/// first use. The registry lock is released on return, so a caller that
+/// panics on a kind mismatch cannot poison it.
+fn intern(name: &str, make: fn(&'static str) -> Entry) -> Entry {
+    let mut reg = REGISTRY.lock().expect("metrics registry poisoned");
+    if let Some(&e) = reg.get(name) {
+        return e;
+    }
+    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+    let e = make(leaked);
+    reg.insert(leaked, e);
+    e
 }
 
-fn leak_name(name: &str) -> &'static str {
-    Box::leak(name.to_string().into_boxed_str())
+fn kind_mismatch(name: &str) -> ! {
+    panic!("metric {name} already registered with a different kind");
 }
 
 /// Interns (or retrieves) the counter named `name`.
@@ -182,23 +246,17 @@ fn leak_name(name: &str) -> &'static str {
 /// # Panics
 /// If `name` is already registered as a gauge or histogram.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(e) = reg.get(name) {
-        match e {
-            Entry::C(c) => return c,
-            _ => {
-                drop(reg); // release before panicking: don't poison the registry
-                panic!("metric {name} already registered with a different kind");
-            }
-        }
+    let make = |name| {
+        Entry::C(Box::leak(Box::new(Counter {
+            name,
+            value: AtomicU64::new(0),
+            window: OnceLock::new(),
+        })))
+    };
+    match intern(name, make) {
+        Entry::C(c) => c,
+        _ => kind_mismatch(name),
     }
-    let leaked = leak_name(name);
-    let c: &'static Counter = Box::leak(Box::new(Counter {
-        name: leaked,
-        value: AtomicU64::new(0),
-    }));
-    reg.insert(leaked.to_string(), Entry::C(c));
-    c
 }
 
 /// Interns (or retrieves) the gauge named `name`.
@@ -206,23 +264,16 @@ pub fn counter(name: &str) -> &'static Counter {
 /// # Panics
 /// If `name` is already registered as a counter or histogram.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(e) = reg.get(name) {
-        match e {
-            Entry::G(g) => return g,
-            _ => {
-                drop(reg); // release before panicking: don't poison the registry
-                panic!("metric {name} already registered with a different kind");
-            }
-        }
+    let make = |name| {
+        Entry::G(Box::leak(Box::new(Gauge {
+            name,
+            bits: AtomicU64::new(0f64.to_bits()),
+        })))
+    };
+    match intern(name, make) {
+        Entry::G(g) => g,
+        _ => kind_mismatch(name),
     }
-    let leaked = leak_name(name);
-    let g: &'static Gauge = Box::leak(Box::new(Gauge {
-        name: leaked,
-        bits: AtomicU64::new(0f64.to_bits()),
-    }));
-    reg.insert(leaked.to_string(), Entry::G(g));
-    g
 }
 
 /// Interns (or retrieves) the histogram named `name`.
@@ -230,48 +281,39 @@ pub fn gauge(name: &str) -> &'static Gauge {
 /// # Panics
 /// If `name` is already registered as a counter or gauge.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(e) = reg.get(name) {
-        match e {
-            Entry::H(h) => return h,
-            _ => {
-                drop(reg); // release before panicking: don't poison the registry
-                panic!("metric {name} already registered with a different kind");
-            }
-        }
+    let make = |name| {
+        Entry::H(Box::leak(Box::new(Histogram {
+            name,
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            window: OnceLock::new(),
+        })))
+    };
+    match intern(name, make) {
+        Entry::H(h) => h,
+        _ => kind_mismatch(name),
     }
-    let leaked = leak_name(name);
-    let h: &'static Histogram = Box::leak(Box::new(Histogram {
-        name: leaked,
-        buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        sum: AtomicU64::new(0),
-    }));
-    reg.insert(leaked.to_string(), Entry::H(h));
-    h
 }
 
-type CounterRow = (&'static str, u64);
-type GaugeRow = (&'static str, f64);
-type HistogramRow = (&'static str, u64, u64, [u64; N_BUCKETS]);
+type Entries = (
+    Vec<&'static Counter>,
+    Vec<&'static Gauge>,
+    Vec<&'static Histogram>,
+);
 
-/// Snapshot of every registered metric, sorted by name for deterministic
-/// output. Internal building block for the two renderers.
-fn sorted_entries() -> (Vec<CounterRow>, Vec<GaugeRow>, Vec<HistogramRow>) {
-    let reg = registry().lock().expect("metrics registry poisoned");
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
+/// Every registered metric split by kind, each sorted by name. The
+/// building block for both the cumulative and the windowed renderers.
+pub(crate) fn sorted_entries() -> Entries {
+    let reg = REGISTRY.lock().expect("metrics registry poisoned");
+    let mut entries: Entries = (Vec::new(), Vec::new(), Vec::new());
     for e in reg.values() {
-        match e {
-            Entry::C(c) => counters.push((c.name(), c.get())),
-            Entry::G(g) => gauges.push((g.name(), g.get())),
-            Entry::H(h) => histograms.push((h.name(), h.count(), h.sum(), h.buckets())),
+        match *e {
+            Entry::C(c) => entries.0.push(c),
+            Entry::G(g) => entries.1.push(g),
+            Entry::H(h) => entries.2.push(h),
         }
     }
-    counters.sort_by_key(|(n, _)| *n);
-    gauges.sort_by_key(|(n, _)| *n);
-    histograms.sort_by_key(|(n, _, _, _)| *n);
-    (counters, gauges, histograms)
+    entries
 }
 
 /// Writes a finite f64 as a JSON number (`null` for NaN/inf).
@@ -283,16 +325,45 @@ fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Writes the cumulative `<prefix>_bucket{le="..."}` lines of a log2
+/// histogram, with power-of-two bounds.
+pub(crate) fn push_prom_buckets(out: &mut String, prefix: &str, buckets: &[u64; N_BUCKETS]) {
+    let mut cumulative = 0u64;
+    for (i, b) in buckets.iter().enumerate() {
+        cumulative += b;
+        // Bucket i counts values < 2^i (bucket 0: the zeros).
+        if i == N_BUCKETS - 1 {
+            let _ = writeln!(out, "{prefix}_bucket{{le=\"+Inf\"}} {cumulative}");
+        } else {
+            let _ = writeln!(out, "{prefix}_bucket{{le=\"{}\"}} {cumulative}", 1u64 << i);
+        }
+    }
+}
+
+/// Writes a bucket array as a JSON array of counts.
+pub(crate) fn push_json_buckets(out: &mut String, buckets: &[u64; N_BUCKETS]) {
+    out.push('[');
+    for (j, b) in buckets.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{b}");
+    }
+    out.push(']');
+}
+
 /// Renders the registry in Prometheus exposition format. Histograms use
 /// the cumulative `_bucket{le="..."}` convention with power-of-two bounds.
 pub fn snapshot_prometheus() -> String {
     let (counters, gauges, histograms) = sorted_entries();
     let mut out = String::new();
-    for (name, v) in counters {
+    for c in counters {
+        let (name, v) = (c.name(), c.get());
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {v}");
     }
-    for (name, v) in gauges {
+    for g in gauges {
+        let (name, v) = (g.name(), g.get());
         let _ = writeln!(out, "# TYPE {name} gauge");
         if v.is_finite() {
             let _ = writeln!(out, "{name} {v}");
@@ -300,21 +371,12 @@ pub fn snapshot_prometheus() -> String {
             let _ = writeln!(out, "{name} NaN");
         }
     }
-    for (name, count, sum, buckets) in histograms {
+    for h in histograms {
+        let name = h.name();
         let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cumulative = 0u64;
-        for (i, b) in buckets.iter().enumerate() {
-            cumulative += b;
-            // Bucket i counts values < 2^i (bucket 0: the zeros).
-            let le = if i == 0 { 1u64 } else { 1u64 << i };
-            if i == N_BUCKETS - 1 {
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            } else {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-        }
-        let _ = writeln!(out, "{name}_sum {sum}");
-        let _ = writeln!(out, "{name}_count {count}");
+        push_prom_buckets(&mut out, name, &h.buckets());
+        let _ = writeln!(out, "{name}_sum {}", h.sum());
+        let _ = writeln!(out, "{name}_count {}", h.count());
     }
     out
 }
@@ -324,36 +386,34 @@ pub fn snapshot_prometheus() -> String {
 pub fn snapshot_json() -> String {
     let (counters, gauges, histograms) = sorted_entries();
     let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in counters.iter().enumerate() {
+    for (i, c) in counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{name}\":{v}");
+        let _ = write!(out, "\"{}\":{}", c.name(), c.get());
     }
     out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in gauges.iter().enumerate() {
+    for (i, g) in gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{name}\":");
-        push_json_f64(&mut out, *v);
+        let _ = write!(out, "\"{}\":", g.name());
+        push_json_f64(&mut out, g.get());
     }
     out.push_str("},\"histograms\":{");
-    for (i, (name, count, sum, buckets)) in histograms.iter().enumerate() {
+    for (i, h) in histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\"{name}\":{{\"count\":{count},\"sum\":{sum},\"buckets\":["
+            "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":",
+            h.name(),
+            h.count(),
+            h.sum()
         );
-        for (j, b) in buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
+        push_json_buckets(&mut out, &h.buckets());
+        out.push('}');
     }
     out.push_str("}}");
     out

@@ -3,6 +3,14 @@
 //!
 //! The cumulative registry in [`crate::metrics`] answers "what happened
 //! since boot"; a long-lived daemon also needs "what is p99 *right now*".
+//! Windowedness is a registration-time property of one metric:
+//! `histogram!(name, windowed)` (or [`Histogram::windowed`]) attaches a
+//! [`WindowedHistogram`] ring to the cumulative handle, and from then on
+//! its one `record` call feeds both. Counters work the same way with a
+//! [`WindowedCounter`]. There is no second registry: [`tick`] and the
+//! renderers below walk the windowed entries of the one in
+//! [`crate::metrics`].
+//!
 //! A [`WindowedHistogram`] keeps a ring of [`N_SLOTS`] log2-bucket
 //! histograms. Writers always record into the current slot — one relaxed
 //! index load plus the same two relaxed adds as the cumulative histogram —
@@ -11,17 +19,19 @@
 //! (every [`SLOT_SPAN_US`]): the winning rotator zeroes the *oldest* slot,
 //! which writers have not touched for `N_SLOTS - 1` spans, then publishes
 //! it as current. A merged snapshot sums all slots, so it always covers
-//! the last `N_SLOTS × SLOT_SPAN_US` ≈ 60 s of samples.
+//! the last `N_SLOTS × SLOT_SPAN_US` ≈ 60 s of samples. Both ring shapes
+//! share that rotation protocol.
 //!
 //! Samples can only be lost if a writer stalls for a full ring revolution
 //! (~50 s) between loading the slot index and storing the sample — not a
 //! realistic schedule; the rotation test in `tests/` hammers this.
 //!
-//! The whole layer is **off by default**: [`record`](WindowedHistogram::record)
-//! is a single relaxed [`AtomicBool`](std::sync::atomic::AtomicBool) load
-//! and branch until [`set_enabled`] arms it (the serve daemon does; batch
-//! binaries never pay more than the branch). The `windowed_record` entries
-//! of `bench_hotpath` pin both costs down.
+//! The whole layer is **off by default**: a windowed metric feeds its ring
+//! only after [`set_enabled`] arms the layer (the serve daemon does). On
+//! top of the cumulative add, every update checks whether its handle has
+//! a ring (one load from the handle's own cache line) and, if it has,
+//! loads the arm flag, a relaxed [`AtomicBool`]. The `windowed_record`
+//! entries of `bench_hotpath` pin the disarmed and the armed cost down.
 //!
 //! Rendering appends a `_window` suffix to the registered name:
 //! `<name>_window{_bucket,_sum,_count}` plus `<name>_window_p50` /
@@ -29,13 +39,16 @@
 //! `<name>_window_rate` (per second over the full window span) for
 //! counters. [`snapshot_prometheus`] and [`snapshot_json`] mirror the
 //! cumulative renderers so the scrape endpoint can concatenate both.
+//!
+//! [`Histogram::windowed`]: crate::metrics::Histogram::windowed
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use crate::metrics::{quantile_from_buckets, N_BUCKETS};
+use crate::metrics::{
+    bucket_of, push_json_buckets, push_prom_buckets, quantile_from_buckets, sorted_entries,
+    N_BUCKETS,
+};
 
 /// Slots in the ring; the window covers `N_SLOTS × SLOT_SPAN_US`.
 pub const N_SLOTS: usize = 6;
@@ -50,7 +63,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Arms (or disarms) windowed collection process-wide. The serve daemon
 /// arms it at boot; everything else leaves it off and pays one relaxed
-/// load per `record` call site.
+/// load of this flag per update of a windowed metric.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -61,8 +74,59 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// The ring cursor both ring shapes share: which slot writers use, and
+/// when the ring last rotated.
+#[derive(Debug, Default)]
+struct Cursor {
+    cur: AtomicUsize,
+    last_rotate_us: AtomicU64,
+}
+
+impl Cursor {
+    /// The slot writers record into.
+    ///
+    /// The slot-index load is `Acquire` to pair with the rotator's
+    /// `Release` publish: a writer that observes the new index is
+    /// guaranteed to see the slot already zeroed, so its adds cannot be
+    /// wiped by a racing reset. (Free on x86; one `ldar` on aarch64.)
+    #[inline]
+    fn current(&self) -> usize {
+        self.cur.load(Ordering::Acquire) % N_SLOTS
+    }
+
+    /// Rotates the ring if at least one slot span has elapsed since the
+    /// last rotation, zeroing one slot per elapsed span through `reset`
+    /// (capped at the ring length, so a long idle gap clears the whole
+    /// window). Exactly one caller wins a given tick; everyone else
+    /// returns 0 immediately. Returns the number of slots advanced.
+    fn maybe_rotate(&self, now_us: u64, reset: impl Fn(usize)) -> usize {
+        let last = self.last_rotate_us.load(Ordering::Acquire);
+        let elapsed = now_us.saturating_sub(last);
+        if elapsed < SLOT_SPAN_US {
+            return 0;
+        }
+        if self
+            .last_rotate_us
+            .compare_exchange(last, now_us, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            return 0; // someone else is rotating this tick
+        }
+        let steps = ((elapsed / SLOT_SPAN_US) as usize).min(N_SLOTS);
+        let mut cur = self.cur.load(Ordering::Relaxed);
+        for _ in 0..steps {
+            cur = (cur + 1) % N_SLOTS;
+            reset(cur);
+            // Publish after the reset so writers never land in a slot that
+            // is about to be zeroed under them.
+            self.cur.store(cur, Ordering::Release);
+        }
+        steps
+    }
+}
+
 /// One ring slot: the same shape as a cumulative log2 histogram.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     buckets: [AtomicU64; N_BUCKETS],
     sum: AtomicU64,
@@ -78,16 +142,16 @@ impl Slot {
 }
 
 /// A rolling log2-bucket histogram over the last [`WINDOW_SPAN_US`].
-#[derive(Debug)]
+/// Tests build one standalone with `default()`; production rings hang
+/// off a windowed [`crate::metrics::Histogram`].
+#[derive(Debug, Default)]
 pub struct WindowedHistogram {
-    name: &'static str,
     slots: [Slot; N_SLOTS],
-    cur: AtomicUsize,
-    last_rotate_us: AtomicU64,
+    cursor: Cursor,
 }
 
 /// Merged view of the ring at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSnapshot {
     /// Samples in the window.
     pub count: u64,
@@ -106,75 +170,19 @@ impl WindowSnapshot {
 }
 
 impl WindowedHistogram {
-    /// A standalone windowed histogram (tests drive rotation explicitly;
-    /// production handles come from [`histogram`]).
-    pub const fn new(name: &'static str) -> WindowedHistogram {
-        WindowedHistogram {
-            name,
-            slots: [const {
-                Slot {
-                    buckets: [const { AtomicU64::new(0) }; N_BUCKETS],
-                    sum: AtomicU64::new(0),
-                }
-            }; N_SLOTS],
-            cur: AtomicUsize::new(0),
-            last_rotate_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample into the current slot. One relaxed load + branch
-    /// when the layer is disarmed; one extra relaxed load over the
-    /// cumulative histogram's two adds when armed.
+    /// Records one sample into the current slot, regardless of the arm
+    /// switch (the owning metric checks [`enabled`]).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.record_unconditional(v);
-    }
-
-    /// Records regardless of the global arm switch (tests, and call sites
-    /// that have already checked [`enabled`]).
-    ///
-    /// The slot-index load is `Acquire` to pair with the rotator's
-    /// `Release` publish: a writer that observes the new index is
-    /// guaranteed to see the slot already zeroed, so its adds cannot be
-    /// wiped by a racing reset. (Free on x86; one `ldar` on aarch64.)
-    #[inline]
-    pub fn record_unconditional(&self, v: u64) {
-        let slot = &self.slots[self.cur.load(Ordering::Acquire) % N_SLOTS];
-        slot.buckets[crate::metrics::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[self.cursor.current()];
+        slot.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         slot.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Rotates the ring if at least one slot span has elapsed since the
-    /// last rotation, zeroing one slot per elapsed span (capped at the
-    /// ring length, so a long idle gap clears the whole window). Exactly
-    /// one caller wins a given tick; everyone else returns 0 immediately.
+    /// Rotates the ring if a slot span has elapsed; see the module docs.
     /// Returns the number of slots advanced.
     pub fn maybe_rotate(&self, now_us: u64) -> usize {
-        let last = self.last_rotate_us.load(Ordering::Acquire);
-        let elapsed = now_us.saturating_sub(last);
-        if elapsed < SLOT_SPAN_US {
-            return 0;
-        }
-        if self
-            .last_rotate_us
-            .compare_exchange(last, now_us, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return 0; // someone else is rotating this tick
-        }
-        let steps = ((elapsed / SLOT_SPAN_US) as usize).min(N_SLOTS);
-        let mut cur = self.cur.load(Ordering::Relaxed);
-        for _ in 0..steps {
-            cur = (cur + 1) % N_SLOTS;
-            self.slots[cur].reset();
-            // Publish after the reset so writers never land in a slot that
-            // is about to be zeroed under them.
-            self.cur.store(cur, Ordering::Release);
-        }
-        steps
+        self.cursor.maybe_rotate(now_us, |i| self.slots[i].reset())
     }
 
     /// Merges every slot into one snapshot covering the whole window.
@@ -193,79 +201,27 @@ impl WindowedHistogram {
             buckets,
         }
     }
-
-    /// Registered name (without the `_window` rendering suffix).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 /// A rolling event counter over the last [`WINDOW_SPAN_US`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WindowedCounter {
-    name: &'static str,
     slots: [AtomicU64; N_SLOTS],
-    cur: AtomicUsize,
-    last_rotate_us: AtomicU64,
+    cursor: Cursor,
 }
 
 impl WindowedCounter {
-    /// A standalone windowed counter (production handles come from
-    /// [`counter`]).
-    pub const fn new(name: &'static str) -> WindowedCounter {
-        WindowedCounter {
-            name,
-            slots: [const { AtomicU64::new(0) }; N_SLOTS],
-            cur: AtomicUsize::new(0),
-            last_rotate_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n` events to the current slot (no-op branch when disarmed).
+    /// Adds `n` events to the current slot, regardless of the arm switch
+    /// (the owning metric checks [`enabled`]).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.add_unconditional(n);
-    }
-
-    /// Adds one event.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds regardless of the global arm switch (tests, and call sites
-    /// that have already checked [`enabled`]). `Acquire` index load for
-    /// the same reason as [`WindowedHistogram::record_unconditional`].
-    #[inline]
-    pub fn add_unconditional(&self, n: u64) {
-        self.slots[self.cur.load(Ordering::Acquire) % N_SLOTS].fetch_add(n, Ordering::Relaxed);
+        self.slots[self.cursor.current()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Same rotation protocol as [`WindowedHistogram::maybe_rotate`].
     pub fn maybe_rotate(&self, now_us: u64) -> usize {
-        let last = self.last_rotate_us.load(Ordering::Acquire);
-        let elapsed = now_us.saturating_sub(last);
-        if elapsed < SLOT_SPAN_US {
-            return 0;
-        }
-        if self
-            .last_rotate_us
-            .compare_exchange(last, now_us, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return 0;
-        }
-        let steps = ((elapsed / SLOT_SPAN_US) as usize).min(N_SLOTS);
-        let mut cur = self.cur.load(Ordering::Relaxed);
-        for _ in 0..steps {
-            cur = (cur + 1) % N_SLOTS;
-            self.slots[cur].store(0, Ordering::Relaxed);
-            self.cur.store(cur, Ordering::Release);
-        }
-        steps
+        self.cursor
+            .maybe_rotate(now_us, |i| self.slots[i].store(0, Ordering::Relaxed))
     }
 
     /// Total events in the window.
@@ -277,130 +233,58 @@ impl WindowedCounter {
     pub fn rate_per_sec(&self) -> f64 {
         self.total() as f64 / (WINDOW_SPAN_US as f64 / 1e6)
     }
-
-    /// Registered name (without the `_window` rendering suffix).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
-enum WEntry {
-    C(&'static WindowedCounter),
-    H(&'static WindowedHistogram),
+type CounterRow = (&'static str, &'static WindowedCounter);
+type HistogramRow = (&'static str, &'static WindowedHistogram);
+
+/// The windowed metrics of the registry: counters, then histograms, each
+/// sorted by name.
+fn windowed_entries() -> (Vec<CounterRow>, Vec<HistogramRow>) {
+    let (counters, _, histograms) = sorted_entries();
+    (
+        counters
+            .into_iter()
+            .filter_map(|c| Some((c.name(), c.window()?)))
+            .collect(),
+        histograms
+            .into_iter()
+            .filter_map(|h| Some((h.name(), h.window()?)))
+            .collect(),
+    )
 }
 
-fn registry() -> &'static Mutex<HashMap<String, WEntry>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<HashMap<String, WEntry>>> =
-        std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Interns (or retrieves) the windowed histogram named `name`. Names share
-/// a namespace with windowed counters but not with the cumulative
-/// registry — the convention is to register the *same* base name in both
-/// (rendering adds the `_window` suffix here).
-///
-/// # Panics
-/// If `name` is already registered as a windowed counter.
-pub fn histogram(name: &str) -> &'static WindowedHistogram {
-    let mut reg = registry().lock().expect("windowed registry poisoned");
-    if let Some(e) = reg.get(name) {
-        match e {
-            WEntry::H(h) => return h,
-            WEntry::C(_) => {
-                drop(reg);
-                panic!("windowed metric {name} already registered with a different kind");
-            }
-        }
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    let h: &'static WindowedHistogram = Box::leak(Box::new(WindowedHistogram::new(leaked)));
-    reg.insert(leaked.to_string(), WEntry::H(h));
-    h
-}
-
-/// Interns (or retrieves) the windowed counter named `name`.
-///
-/// # Panics
-/// If `name` is already registered as a windowed histogram.
-pub fn counter(name: &str) -> &'static WindowedCounter {
-    let mut reg = registry().lock().expect("windowed registry poisoned");
-    if let Some(e) = reg.get(name) {
-        match e {
-            WEntry::C(c) => return c,
-            WEntry::H(_) => {
-                drop(reg);
-                panic!("windowed metric {name} already registered with a different kind");
-            }
-        }
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    let c: &'static WindowedCounter = Box::leak(Box::new(WindowedCounter::new(leaked)));
-    reg.insert(leaked.to_string(), WEntry::C(c));
-    c
-}
-
-/// Rotates every registered windowed metric that is due at `now_us`
-/// (typically [`crate::trace::now_us`]). Called from the daemon's obs
-/// thread about once a second and opportunistically before snapshots; the
-/// cost is one registry lock plus a relaxed load per metric when nothing
-/// is due.
+/// Rotates every windowed metric that is due at `now_us` (typically
+/// [`crate::trace::now_us`]). Called from the daemon's obs thread about
+/// once a second and opportunistically before snapshots; the cost is one
+/// registry walk plus a relaxed load per windowed metric when nothing is
+/// due.
 pub fn tick(now_us: u64) {
-    let reg = registry().lock().expect("windowed registry poisoned");
-    for e in reg.values() {
-        match e {
-            WEntry::C(c) => {
-                c.maybe_rotate(now_us);
-            }
-            WEntry::H(h) => {
-                h.maybe_rotate(now_us);
-            }
-        }
+    let (counters, histograms) = windowed_entries();
+    for (_, c) in counters {
+        c.maybe_rotate(now_us);
+    }
+    for (_, h) in histograms {
+        h.maybe_rotate(now_us);
     }
 }
 
-type CounterRow = (&'static str, u64, f64);
-type HistogramRow = (&'static str, WindowSnapshot);
-
-fn sorted_entries() -> (Vec<CounterRow>, Vec<HistogramRow>) {
-    let reg = registry().lock().expect("windowed registry poisoned");
-    let mut counters = Vec::new();
-    let mut histograms = Vec::new();
-    for e in reg.values() {
-        match e {
-            WEntry::C(c) => counters.push((c.name(), c.total(), c.rate_per_sec())),
-            WEntry::H(h) => histograms.push((h.name(), h.snapshot())),
-        }
-    }
-    counters.sort_by_key(|(n, _, _)| *n);
-    histograms.sort_by_key(|(n, _)| *n);
-    (counters, histograms)
-}
-
-/// Renders the windowed registry in Prometheus exposition format, with a
+/// Renders the windowed metrics in Prometheus exposition format, with a
 /// `_window` suffix on every series so it can be concatenated with the
 /// cumulative [`crate::metrics::snapshot_prometheus`] output.
 pub fn snapshot_prometheus() -> String {
-    let (counters, histograms) = sorted_entries();
+    let (counters, histograms) = windowed_entries();
     let mut out = String::new();
-    for (name, total, rate) in counters {
+    for (name, c) in counters {
         let _ = writeln!(out, "# TYPE {name}_window_total gauge");
-        let _ = writeln!(out, "{name}_window_total {total}");
+        let _ = writeln!(out, "{name}_window_total {}", c.total());
         let _ = writeln!(out, "# TYPE {name}_window_rate gauge");
-        let _ = writeln!(out, "{name}_window_rate {rate:.3}");
+        let _ = writeln!(out, "{name}_window_rate {:.3}", c.rate_per_sec());
     }
-    for (name, snap) in histograms {
+    for (name, h) in histograms {
+        let snap = h.snapshot();
         let _ = writeln!(out, "# TYPE {name}_window histogram");
-        let mut cumulative = 0u64;
-        for (i, b) in snap.buckets.iter().enumerate() {
-            cumulative += b;
-            let le = if i == 0 { 1u64 } else { 1u64 << i };
-            if i == N_BUCKETS - 1 {
-                let _ = writeln!(out, "{name}_window_bucket{{le=\"+Inf\"}} {cumulative}");
-            } else {
-                let _ = writeln!(out, "{name}_window_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-        }
+        push_prom_buckets(&mut out, &format!("{name}_window"), &snap.buckets);
         let _ = writeln!(out, "{name}_window_sum {}", snap.sum);
         let _ = writeln!(out, "{name}_window_count {}", snap.count);
         let _ = writeln!(out, "# TYPE {name}_window_p50 gauge");
@@ -411,38 +295,39 @@ pub fn snapshot_prometheus() -> String {
     out
 }
 
-/// Renders the windowed registry as a JSON object:
+/// Renders the windowed metrics as a JSON object:
 /// `{"window_us":N,"counters":{name:{total,rate}},"histograms":{name:{count,sum,p50,p99,buckets}}}`.
 pub fn snapshot_json() -> String {
-    let (counters, histograms) = sorted_entries();
+    let (counters, histograms) = windowed_entries();
     let mut out = String::new();
     let _ = write!(out, "{{\"window_us\":{WINDOW_SPAN_US},\"counters\":{{");
-    for (i, (name, total, rate)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{{\"total\":{total},\"rate\":{rate:.3}}}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, snap)) in histograms.iter().enumerate() {
+    for (i, (name, c)) in counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\"{name}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
+            "\"{name}\":{{\"total\":{},\"rate\":{:.3}}}",
+            c.total(),
+            c.rate_per_sec()
+        );
+    }
+    out.push_str("},\"histograms\":{");
+    for (i, (name, h)) in histograms.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let snap = h.snapshot();
+        let _ = write!(
+            out,
+            "\"{name}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"buckets\":",
             snap.count,
             snap.sum,
             snap.quantile(0.50),
             snap.quantile(0.99)
         );
-        for (j, b) in snap.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
+        push_json_buckets(&mut out, &snap.buckets);
+        out.push('}');
     }
     out.push_str("}}");
     out
@@ -451,25 +336,29 @@ pub fn snapshot_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics;
 
     // No unit test calls `set_enabled` — the flag is process-global and
-    // tests run concurrently; the armed path is covered via the
-    // `_unconditional` variants and by the serve integration tests.
+    // tests run concurrently; the armed path is covered by writing to the
+    // rings directly and by the `tests/` binaries and serve integration
+    // tests.
 
     #[test]
     fn disarmed_record_is_inert() {
-        let h = WindowedHistogram::new("unit_disarmed");
+        let h = metrics::histogram("unit_disarmed_us").windowed();
+        let ring = h.window().expect("registered windowed");
         assert!(!enabled(), "windowed layer must start disarmed");
         h.record(7);
-        assert_eq!(h.snapshot().count, 0);
-        h.record_unconditional(7);
-        assert_eq!(h.snapshot().count, 1);
+        assert_eq!(h.count(), 1, "the cumulative view always records");
+        assert_eq!(ring.snapshot().count, 0);
+        ring.record(7);
+        assert_eq!(ring.snapshot().count, 1);
     }
 
     #[test]
     fn rotation_evicts_only_the_oldest_slots() {
-        let h = WindowedHistogram::new("unit_rotate");
-        h.record_unconditional(8);
+        let h = WindowedHistogram::default();
+        h.record(8);
         // One span later: one slot advances, the sample survives.
         assert_eq!(h.maybe_rotate(SLOT_SPAN_US), 1);
         assert_eq!(h.snapshot().count, 1);
@@ -480,16 +369,16 @@ mod tests {
 
     #[test]
     fn sub_span_ticks_do_not_rotate() {
-        let h = WindowedHistogram::new("unit_subspan");
-        h.record_unconditional(1);
+        let h = WindowedHistogram::default();
+        h.record(1);
         assert_eq!(h.maybe_rotate(SLOT_SPAN_US - 1), 0);
         assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]
     fn counter_rate_covers_the_window() {
-        let c = WindowedCounter::new("unit_rate");
-        c.add_unconditional(120);
+        let c = WindowedCounter::default();
+        c.add(120);
         assert_eq!(c.total(), 120);
         assert!((c.rate_per_sec() - 2.0).abs() < 1e-9, "120 events / 60 s");
         c.maybe_rotate(WINDOW_SPAN_US * 2);
@@ -498,11 +387,11 @@ mod tests {
 
     #[test]
     fn registry_renders_both_formats() {
-        let h = histogram("halk_window_test_us");
-        let c = counter("halk_window_test_total");
-        h.record_unconditional(100);
-        c.add_unconditional(1);
-        assert!(std::ptr::eq(h, histogram("halk_window_test_us")));
+        let h = metrics::histogram("halk_window_test_us").windowed();
+        let c = metrics::counter("halk_window_test_total").windowed();
+        h.window().unwrap().record(100);
+        c.window().unwrap().add(1);
+        assert!(std::ptr::eq(h, metrics::histogram("halk_window_test_us")));
         let prom = snapshot_prometheus();
         assert!(prom.contains("halk_window_test_us_window_p99 127"));
         assert!(prom.contains("halk_window_test_us_window_count 1"));
@@ -523,7 +412,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_mismatch_panics() {
-        histogram("halk_window_test_kind_clash");
-        counter("halk_window_test_kind_clash");
+        metrics::histogram("halk_window_test_kind_clash").windowed();
+        metrics::counter("halk_window_test_kind_clash").windowed();
     }
 }

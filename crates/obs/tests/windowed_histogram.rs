@@ -4,7 +4,7 @@
 //! may arm the global `window::set_enabled` switch and drive rotation
 //! concurrently with writers.
 
-use halk_obs::metrics::{Histogram, N_BUCKETS};
+use halk_obs::metrics::N_BUCKETS;
 use halk_obs::window::{WindowedHistogram, N_SLOTS, SLOT_SPAN_US};
 
 /// Concurrent writers never lose a sample across epoch ticks, as long as
@@ -12,8 +12,8 @@ use halk_obs::window::{WindowedHistogram, N_SLOTS, SLOT_SPAN_US};
 /// slot that left the window).
 #[test]
 fn concurrent_writers_survive_rotation() {
-    static H: WindowedHistogram = WindowedHistogram::new("rotation_torture_us");
-    halk_obs::window::set_enabled(true);
+    let h = WindowedHistogram::default();
+    let h = &h;
 
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 50_000;
@@ -22,7 +22,7 @@ fn concurrent_writers_survive_rotation() {
         for w in 0..WRITERS {
             s.spawn(move || {
                 for i in 0..PER_WRITER {
-                    H.record((w as u64) * 7 + (i % 1000));
+                    h.record((w as u64) * 7 + (i % 1000));
                 }
             });
         }
@@ -31,13 +31,13 @@ fn concurrent_writers_survive_rotation() {
         // window at the end.
         s.spawn(|| {
             for tick in 1..N_SLOTS as u64 {
-                H.maybe_rotate(tick * SLOT_SPAN_US);
+                h.maybe_rotate(tick * SLOT_SPAN_US);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         });
     });
 
-    let snap = H.snapshot();
+    let snap = h.snapshot();
     assert_eq!(
         snap.count,
         (WRITERS as u64) * PER_WRITER,
@@ -45,36 +45,62 @@ fn concurrent_writers_survive_rotation() {
     );
 }
 
-/// On a single window (no rotation), the merged windowed snapshot agrees
-/// exactly with a cumulative histogram fed the same samples: same count,
+/// On a single window (no rotation), the window snapshot and the
+/// cumulative view of one windowed histogram agree exactly: same count,
 /// sum, buckets and quantiles.
 #[test]
 fn single_window_agrees_with_cumulative() {
-    static W: WindowedHistogram = WindowedHistogram::new("agreement_us");
-    let c: &'static Histogram = halk_obs::metrics::histogram("halk_window_agreement_us");
+    let h = halk_obs::histogram!("halk_window_agreement_us", windowed);
     halk_obs::window::set_enabled(true);
 
     let samples: Vec<u64> = (0..4096u64).map(|i| (i * i) % 90_000).collect();
     for &v in &samples {
-        W.record(v);
-        c.record(v);
+        h.record(v);
     }
 
-    let snap = W.snapshot();
-    assert_eq!(snap.count, c.count());
-    assert_eq!(snap.sum, c.sum());
-    assert_eq!(snap.buckets, c.buckets());
+    let snap = h.window().expect("registered windowed").snapshot();
+    assert_eq!(snap.count, h.count());
+    assert_eq!(snap.sum, h.sum());
+    assert_eq!(snap.buckets, h.buckets());
     for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(snap.quantile(q), c.quantile(q), "quantile {q} diverged");
+        assert_eq!(snap.quantile(q), h.quantile(q), "quantile {q} diverged");
     }
+}
+
+/// A name looked up plain first and registered windowed later is one
+/// metric: both lookups return the same handle, and records through the
+/// early plain handle reach the ring once it is attached.
+#[test]
+fn plain_lookup_then_windowed_registration_share_one_handle() {
+    let plain = halk_obs::metrics::histogram("halk_window_late_us");
+    let counter = halk_obs::metrics::counter("halk_window_late_total");
+    assert!(plain.window().is_none() && counter.window().is_none());
+
+    let windowed = halk_obs::histogram!("halk_window_late_us", windowed);
+    assert!(std::ptr::eq(plain, windowed));
+    assert!(std::ptr::eq(
+        counter,
+        halk_obs::counter!("halk_window_late_total", windowed)
+    ));
+    // A later plain lookup still finds the windowed handle.
+    assert!(halk_obs::metrics::histogram("halk_window_late_us")
+        .window()
+        .is_some());
+
+    halk_obs::window::set_enabled(true);
+    plain.record(300);
+    counter.add(2);
+    let snap = plain.window().unwrap().snapshot();
+    assert_eq!((snap.count, snap.sum), (1, 300));
+    assert_eq!(counter.window().unwrap().total(), 2);
 }
 
 /// An empty window (fresh, or fully evicted) snapshots to all-zero counts
 /// and zero quantiles, and renders without panicking.
 #[test]
 fn empty_window_snapshot_is_zero() {
-    static E: WindowedHistogram = WindowedHistogram::new("empty_us");
-    let snap = E.snapshot();
+    let e = WindowedHistogram::default();
+    let snap = e.snapshot();
     assert_eq!(snap.count, 0);
     assert_eq!(snap.sum, 0);
     assert_eq!(snap.buckets, [0u64; N_BUCKETS]);
@@ -82,9 +108,9 @@ fn empty_window_snapshot_is_zero() {
     assert_eq!(snap.quantile(0.99), 0);
 
     // Fill, then evict everything with a full-revolution tick: back to zero.
-    E.record_unconditional(42);
-    assert!(E.snapshot().count > 0);
-    E.maybe_rotate(SLOT_SPAN_US * (N_SLOTS as u64 + 1));
-    assert_eq!(E.snapshot().count, 0);
-    assert_eq!(E.snapshot().quantile(0.99), 0);
+    e.record(42);
+    assert!(e.snapshot().count > 0);
+    e.maybe_rotate(SLOT_SPAN_US * (N_SLOTS as u64 + 1));
+    assert_eq!(e.snapshot().count, 0);
+    assert_eq!(e.snapshot().quantile(0.99), 0);
 }

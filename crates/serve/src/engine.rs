@@ -639,8 +639,7 @@ impl Engine {
         );
         let batch = items.len();
         for it in items {
-            halk_obs::counter!("halk_serve_slow_queries_total").inc();
-            halk_obs::windowed_counter!("halk_serve_slow_queries_total").inc();
+            halk_obs::counter!("halk_serve_slow_queries_total", windowed).inc();
             let line = format!(
                 "req={} lane={lane} skeleton={skeleton} batch={batch} wall_us={wall_us} \
                  queue_wait_us={} embed_us={} score_us={} merge_us={}",

@@ -5,9 +5,11 @@
 //! saturated (this thread never touches the request queue beyond reading
 //! its depth):
 //!
-//! * `GET /metrics` — Prometheus exposition text: the cumulative registry
-//!   ([`halk_obs::metrics::snapshot_prometheus`]) concatenated with the
-//!   windowed one (`*_window_*` series, last ~60 s).
+//! * `GET /metrics` — Prometheus exposition text: every metric of the one
+//!   registry ([`halk_obs::metrics::snapshot_prometheus`]) concatenated
+//!   with the rolling view of its windowed metrics
+//!   ([`halk_obs::window::snapshot_prometheus`]: `*_window_*` series,
+//!   last ~60 s).
 //! * `GET /metrics.json` — one JSON object with `cumulative`, `window`
 //!   and `health` sub-objects; this is what `halk top` polls.
 //! * `GET /healthz` — liveness plus capacity facts: queue depth/cap,

@@ -325,8 +325,7 @@ fn accept_loop(
                 if shared.sessions.load(Ordering::SeqCst) >= shared.cfg.max_sessions {
                     // Full house: a typed rejection is kinder than an
                     // unexplained RST, and it must not block the acceptor.
-                    halk_obs::counter!("halk_serve_overloaded_total").inc();
-                    halk_obs::windowed_counter!("halk_serve_overloaded_total").inc();
+                    halk_obs::counter!("halk_serve_overloaded_total", windowed).inc();
                     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
                     let resp = Response::Error {
                         kind: ErrorKind::Overloaded,
@@ -484,7 +483,10 @@ fn stats_response(shared: &Shared) -> Response {
     // reports decayed, not frozen, rolling quantiles.
     halk_obs::window::tick(halk_obs::trace::now_us());
     let batch = halk_obs::histogram!("halk_serve_batch_size");
-    let lat = halk_obs::windowed_histogram!("halk_serve_latency_us").snapshot();
+    let lat = halk_obs::histogram!("halk_serve_latency_us", windowed)
+        .window()
+        .map(|w| w.snapshot())
+        .unwrap_or_default();
     let mut pairs = vec![
         (
             "requests_total".to_string(),
@@ -531,8 +533,7 @@ fn handle_ask(
     deadline_ms: u64,
     sparql: String,
 ) -> io::Result<()> {
-    halk_obs::counter!("halk_serve_requests_total").inc();
-    halk_obs::windowed_counter!("halk_serve_requests_total").inc();
+    halk_obs::counter!("halk_serve_requests_total", windowed).inc();
     // Mint the request's trace identity here, at accept: every downstream
     // span (queue, executor group, shard sweep, slow-query line) carries
     // this id, so `trace_check --reqids` can stitch the full chain.
@@ -546,8 +547,7 @@ fn handle_ask(
         Err(resp) => {
             write_response(stream, &resp)?;
             let us = started.elapsed().as_micros() as u64;
-            halk_obs::histogram!("halk_serve_latency_us").record(us);
-            halk_obs::windowed_histogram!("halk_serve_latency_us").record(us);
+            halk_obs::histogram!("halk_serve_latency_us", windowed).record(us);
             return Ok(());
         }
     };
@@ -590,8 +590,7 @@ fn handle_ask(
                     Ok(())
                 }
                 Err(why) => {
-                    halk_obs::counter!("halk_serve_overloaded_total").inc();
-                    halk_obs::windowed_counter!("halk_serve_overloaded_total").inc();
+                    halk_obs::counter!("halk_serve_overloaded_total", windowed).inc();
                     Err(Response::Error {
                         kind: ErrorKind::Overloaded,
                         detail: match why {
@@ -629,8 +628,7 @@ fn handle_ask(
     };
     write_response(stream, &resp)?;
     let us = started.elapsed().as_micros() as u64;
-    halk_obs::histogram!("halk_serve_latency_us").record(us);
-    halk_obs::windowed_histogram!("halk_serve_latency_us").record(us);
+    halk_obs::histogram!("halk_serve_latency_us", windowed).record(us);
     Ok(())
 }
 
@@ -692,8 +690,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     detail: "drain deadline reached".to_string(),
                 });
             } else if job.deadline.expired() {
-                halk_obs::counter!("halk_serve_deadline_shed_total").inc();
-                halk_obs::windowed_counter!("halk_serve_deadline_shed_total").inc();
+                halk_obs::counter!("halk_serve_deadline_shed_total", windowed).inc();
                 let _ = job.reply.send(Response::Error {
                     kind: ErrorKind::Deadline,
                     detail: "deadline expired while queued".to_string(),
@@ -707,11 +704,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
 
         let n = live.len();
-        halk_obs::histogram!("halk_serve_batch_size").record(n as u64);
-        halk_obs::windowed_histogram!("halk_serve_batch_size").record(n as u64);
+        halk_obs::histogram!("halk_serve_batch_size", windowed).record(n as u64);
         if n >= 2 {
-            halk_obs::counter!("halk_serve_batched_groups_total").inc();
-            halk_obs::windowed_counter!("halk_serve_batched_groups_total").inc();
+            halk_obs::counter!("halk_serve_batched_groups_total", windowed).inc();
         }
         let t0 = shared.cfg.clock.now_ns();
         // Queue wait travels with each item so the slow-query log can tell
@@ -720,8 +715,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             .iter()
             .map(|j| {
                 let us = t0.saturating_sub(j.enqueued_ns) / 1_000;
-                halk_obs::histogram!("halk_serve_queue_wait_us").record(us);
-                halk_obs::windowed_histogram!("halk_serve_queue_wait_us").record(us);
+                halk_obs::histogram!("halk_serve_queue_wait_us", windowed).record(us);
                 us
             })
             .collect();
@@ -755,8 +749,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                             ..
                         }
                     ) {
-                        halk_obs::counter!("halk_serve_truncated_total").inc();
-                        halk_obs::windowed_counter!("halk_serve_truncated_total").inc();
+                        halk_obs::counter!("halk_serve_truncated_total", windowed).inc();
                     }
                     let _ = job.reply.send(resp);
                 }
@@ -764,8 +757,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             Err(_) if n == 1 => {
                 // The request died; the daemon must not. Panic payload is
                 // already printed by the default hook.
-                halk_obs::counter!("halk_serve_panics_total").inc();
-                halk_obs::windowed_counter!("halk_serve_panics_total").inc();
+                halk_obs::counter!("halk_serve_panics_total", windowed).inc();
                 let _ = live[0].reply.send(Response::Error {
                     kind: ErrorKind::Panic,
                     detail: "request panicked; daemon still serving".to_string(),
@@ -793,8 +785,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                             r.pop().expect("one item in, one response out")
                         }
                         Err(_) => {
-                            halk_obs::counter!("halk_serve_panics_total").inc();
-                            halk_obs::windowed_counter!("halk_serve_panics_total").inc();
+                            halk_obs::counter!("halk_serve_panics_total", windowed).inc();
                             Response::Error {
                                 kind: ErrorKind::Panic,
                                 detail: "request panicked; daemon still serving".to_string(),
