@@ -189,14 +189,17 @@ USAGE:
   halk ask   --graph graph.tsv --sparql QUERY
              [--model model_dir] [--engine exact|halk|match] [--top N]
   halk serve --graph graph.tsv [--model model_dir] [--addr 127.0.0.1:7464]
-             [--workers N] [--queue-cap N] [--max-sessions N]
+             [--workers N]            execution permits: at most N
+                                      requests execute at once, each on
+                                      its own session thread (default 2)
+             [--queue-cap N] [--max-sessions N]
              [--default-deadline-ms N] [--drain-ms N]
              [--shards N]              arc shards for sharded scoring
                                       (omit for auto: the thread budget;
                                       must be 1..=entity count)
              [--batch-cap N]          most same-skeleton requests one
-                                      worker batches into a single kernel
-                                      pass (default 16; must be >= 1)
+                                      permit holder batches into a single
+                                      kernel pass (default 16; must be >= 1)
              [--snapshot FILE]        boot from a binary snapshot instead
                                       of --graph/--model (fast cold start)
              [--precision f32|i16|i8] trig table storage precision

@@ -142,12 +142,16 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
     exec: &Executor,
 ) -> EvalCell {
     let _span = halk_obs::span!("eval_structure", || structure.to_string());
+    // One phase span is open from here to the end: each `next` closes the
+    // current phase and opens the following one at the same instant, so
+    // the phases tile the structure's wall time (CI gates this with
+    // `trace_check --coverage eval_structure:0.95`).
+    let mut phase = halk_obs::span!("eval_setup");
+    let setup_start = std::time::Instant::now();
     // Resolve the model's scoring cache (e.g. entity-table trig) through
     // the executor's cache layer: built at most once per parameter state,
     // shared across structures. The exact answer splits likewise share one
     // compiled plan per structure skeleton via the executor's plan cache.
-    let setup_span = halk_obs::span!("eval_setup");
-    let setup_start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(seed);
     let sampler = Sampler::new(&split.test);
     let backend = EvalBackend {
@@ -155,17 +159,16 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         split,
         cache: exec.score_cache(model),
     };
-    halk_obs::histogram!("halk_eval_setup_us").record(setup_start.elapsed().as_micros() as u64);
-    drop(setup_span);
     let mut acc = MetricsAccumulator::new();
     let mut online = Duration::ZERO;
     let mut evaluated = 0usize;
     let mut attempts = 0usize;
     let max_attempts = n_queries * 20;
+    halk_obs::histogram!("halk_eval_setup_us").record(setup_start.elapsed().as_micros() as u64);
 
     while evaluated < n_queries && attempts < max_attempts {
         let chunk = SPEC_CHUNK.min(max_attempts - attempts);
-        let sample_span = halk_obs::span!("eval_sample");
+        phase = phase.next("eval_sample");
         let sample_start = std::time::Instant::now();
         let mut candidates = Vec::with_capacity(chunk);
         for _ in 0..chunk {
@@ -176,17 +179,15 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         }
         halk_obs::histogram!("halk_eval_sample_us")
             .record(sample_start.elapsed().as_micros() as u64);
-        drop(sample_span);
 
         // One executor submission per chunk: same structure ⇒ one skeleton
         // group, scored in parallel inside the group kernel.
-        let score_span = halk_obs::span!("eval_score");
+        phase = phase.next("eval_score");
         let score_start = std::time::Instant::now();
         let scored = exec.submit(&backend, &candidates);
         halk_obs::histogram!("halk_eval_score_us").record(score_start.elapsed().as_micros() as u64);
-        drop(score_span);
 
-        let rank_span = halk_obs::span!("eval_rank");
+        phase = phase.next("eval_rank");
         let rank_start = std::time::Instant::now();
         for (ranks, elapsed) in scored.into_iter().flatten() {
             if evaluated >= n_queries {
@@ -197,9 +198,11 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
             evaluated += 1;
         }
         halk_obs::histogram!("halk_eval_rank_us").record(rank_start.elapsed().as_micros() as u64);
-        drop(rank_span);
     }
 
+    // The tail — counters, the cell, and freeing the sampler's and the
+    // backend's tables — is the last phase.
+    let _finish = phase.next("eval_finish");
     halk_obs::counter!("halk_eval_attempts_total").add(attempts as u64);
     halk_obs::counter!("halk_eval_queries_total").add(evaluated as u64);
     let truncated = evaluated < n_queries;
@@ -211,12 +214,15 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
              evaluated {evaluated}/{n_queries} queries"
         );
     }
-    EvalCell {
+    let cell = EvalCell {
         metrics: acc.finish(),
         n_queries: evaluated,
         online_time: online,
         truncated,
-    }
+    };
+    drop(backend);
+    drop(sampler);
+    cell
 }
 
 /// Evaluates a model across a list of structures (a table row), skipping

@@ -154,15 +154,9 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.armed {
+            self.close_at(now_us());
         }
-        let ts = now_us();
-        let dur = ts.saturating_sub(self.start_us);
-        emit(|buf| {
-            emit_head(buf, 'c', self.name, ts);
-            let _ = write!(buf, ",\"dur_us\":{dur}}}");
-        });
     }
 }
 
@@ -171,6 +165,28 @@ impl SpanGuard {
     /// open time).
     pub fn is_armed(&self) -> bool {
         self.armed
+    }
+
+    /// Closes this span and opens `name` at the same timestamp, so
+    /// consecutive phases tile their parent span: the time between two
+    /// phases — a preemption included — is charged to one of them, never
+    /// lost between them. An inert guard yields a fresh [`span`].
+    pub fn next(mut self, name: &'static str) -> SpanGuard {
+        if !self.armed {
+            return span(name);
+        }
+        self.armed = false; // closed here, not again when `self` drops
+        let ts = now_us();
+        self.close_at(ts);
+        span_open(name, None, ts)
+    }
+
+    fn close_at(&self, ts: u64) {
+        let dur = ts.saturating_sub(self.start_us);
+        emit(|buf| {
+            emit_head(buf, 'c', self.name, ts);
+            let _ = write!(buf, ",\"dur_us\":{dur}}}");
+        });
     }
 }
 
@@ -184,7 +200,7 @@ pub fn span(name: &'static str) -> SpanGuard {
             armed: false,
         };
     }
-    span_open(name, None)
+    span_open(name, None, now_us())
 }
 
 /// Opens a span with a lazily-built detail string (evaluated only when
@@ -198,11 +214,10 @@ pub fn span_detail(name: &'static str, detail: impl FnOnce() -> String) -> SpanG
             armed: false,
         };
     }
-    span_open(name, Some(detail()))
+    span_open(name, Some(detail()), now_us())
 }
 
-fn span_open(name: &'static str, detail: Option<String>) -> SpanGuard {
-    let ts = now_us();
+fn span_open(name: &'static str, detail: Option<String>, ts: u64) -> SpanGuard {
     emit(|buf| {
         emit_head(buf, 'o', name, ts);
         if let Some(d) = &detail {

@@ -21,9 +21,12 @@
 //! Served answers are **bit-identical** to one-shot `halk ask`: the exact
 //! engine runs the same compiled plans, and embedding scores travel as
 //! shortest-round-trip floats (see [`protocol`]). The `halk` engine
-//! scores through arc-sharded streaming top-k heaps, and workers group
-//! in-flight same-skeleton requests ([`engine::PreparedAsk::batch_key`])
-//! into one kernel pass per shard — DESIGN.md §13. DESIGN.md §12
+//! scores through arc-sharded streaming top-k heaps. A session that holds
+//! a free execution permit runs its request on its own thread; when the
+//! permits are taken, a released permit passes to the oldest queued
+//! request, whose session leads its queued same-skeleton companions
+//! ([`engine::PreparedAsk::batch_key`]) as one kernel pass per shard —
+//! DESIGN.md §13. DESIGN.md §12
 //! documents the protocol grammar, the backpressure state machine and
 //! the shutdown sequence; `scripts/ci.sh` drills the fault paths and the
 //! sharded path against a live daemon on every run.

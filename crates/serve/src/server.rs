@@ -1,13 +1,13 @@
-//! The daemon: one acceptor, a bounded session pool, a bounded request
-//! queue, and a worker pool — every stage designed to fail small.
+//! The daemon: one acceptor, bounded sessions, a bounded request queue and
+//! `workers` execution permits — every stage designed to fail small.
 //!
 //! ```text
-//!            accept            frame/parse       bounded queue
-//!  clients ─────────▶ sessions ───────────▶ admit ─────────▶ workers
-//!                      (≤ max_sessions)      │                 │
-//!                      read/write timeouts   │ Overloaded      │ catch_unwind
-//!                      stall budget          ▼                 ▼ deadline shed
-//!                                         typed ERR        typed ERR
+//!            accept            frame/parse             permit free, queue empty
+//!  clients ─────────▶ sessions ───────────▶ admit ─┬──────────────────────────▶ run on
+//!                      (≤ max_sessions)      │     │                            own thread
+//!                      read/write timeouts   │     └─▶ bounded queue ─▶ run in a holder's combining
+//!                      stall budget          ▼          deadline shed   pass, or a released permit passes
+//!                                         typed ERR     drain flush     to the oldest job's group
 //! ```
 //!
 //! Robustness invariants, each pinned by a test or the CI fault drill:
@@ -15,21 +15,22 @@
 //! * **No unbounded anything.** Sessions, queue depth, frame size and
 //!   per-request time are all capped; past every cap is a typed error
 //!   frame, not latency.
-//! * **Workers never touch sockets.** Sessions own their socket and its
-//!   timeouts; workers answer through an in-memory channel, so a client
-//!   that stops reading stalls only its own session thread (bounded by
-//!   the write timeout), never a worker.
+//! * **No permit is held across socket I/O.** A session takes a permit
+//!   only to execute and gives it back before writing its reply, so a
+//!   client that stops reading stalls only its own session thread
+//!   (bounded by the write timeout), never anyone else's request.
 //! * **Admission is predictive.** [`admit`] rejects when the queue is
 //!   full *or* when an EWMA of recent service times says the request
 //!   would miss its deadline anyway — shedding early is cheaper than
 //!   computing an answer nobody can use (`halk_serve_overloaded_total`).
 //! * **Panics stay inside the request.** Each execution runs under
 //!   `catch_unwind`; the requester gets `ERR panic`, the daemon keeps
-//!   serving (`halk_serve_panics_total`).
+//!   serving (`halk_serve_panics_total`), and the permit's drop guard
+//!   hands it on even on unwind.
 //! * **Shutdown drains.** [`Server::begin_shutdown`] stops the acceptor,
-//!   lets queued work finish until the drain deadline, then flushes the
-//!   remainder as `ERR shutdown` — [`Server::join`] returns in bounded
-//!   time.
+//!   lets queued work finish until the drain deadline, then every queued
+//!   session answers itself `ERR shutdown` — [`Server::join`] returns in
+//!   bounded time.
 
 use crate::engine::{BatchItem, Engine, PreparedAsk};
 use crate::protocol::{encode_frame, ErrorKind, FrameDecoder, Request, Response, MAX_FRAME};
@@ -39,8 +40,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +53,8 @@ pub struct ServeConfig {
     /// set, a dedicated thread serves `GET /metrics`, `/metrics.json` and
     /// `/healthz` there (the `obs_http` module).
     pub obs_addr: Option<String>,
-    /// Worker threads executing requests.
+    /// Execution permits: at most this many requests (or same-skeleton
+    /// groups) execute at once, each on the session thread holding one.
     pub workers: usize,
     /// Bounded request queue depth; past it requests are shed.
     pub queue_cap: usize,
@@ -64,7 +65,7 @@ pub struct ServeConfig {
     /// How long [`Server::join`] lets queued work finish after shutdown
     /// begins before flushing it as `ERR shutdown`.
     pub drain: Duration,
-    /// Session poll tick: socket read timeout, worker wakeup cadence.
+    /// Session poll tick: socket read timeout, queued-request recheck cadence.
     pub read_timeout: Duration,
     /// Socket write timeout — the slow-client bound.
     pub write_timeout: Duration,
@@ -135,33 +136,44 @@ pub fn admit(
 /// "no identity" (CLI one-shots, tests), so the first request is 1.
 static NEXT_REQ_ID: AtomicU64 = AtomicU64::new(1);
 
-/// One queued request, carrying its reply channel. The query was already
-/// parsed, validated and shape-resolved in the session thread
-/// ([`Engine::prepare`]), so the queue holds only executable work and the
-/// shape pointer doubles as the skeleton-batching key.
+/// One admitted request. The query was already parsed, validated and
+/// shape-resolved in the session thread ([`Engine::prepare`]), so the
+/// queue holds only executable work and the shape pointer doubles as the
+/// skeleton-batching key.
 struct Job {
     prepared: PreparedAsk,
     top: usize,
     deadline: Deadline,
-    reply: mpsc::Sender<Response>,
     /// The request's trace id, minted at accept.
     req: u64,
-    /// `cfg.clock` ns when the job entered the queue (queue-wait basis).
+    /// `cfg.clock` ns when the job was admitted (queue-wait basis).
     enqueued_ns: u64,
+    /// The answer, left here by whichever session led the job's group.
+    reply: Mutex<Option<Response>>,
+    /// Its session parks here until the answer lands or a permit is handed over.
+    wake: Condvar,
 }
 
-/// State shared by the acceptor, sessions, workers and the telemetry
-/// endpoint ([`crate::obs_http`] reads it for `/healthz`).
+/// The request queue and the execution permits, under one lock so "queue
+/// empty and a permit free" is a single decision. A permit is free only
+/// while the queue is empty: a released one goes to the oldest queued job.
+struct Sched {
+    queue: VecDeque<Arc<Job>>,
+    free: usize,
+    /// Groups handed a released permit, each waiting for its leader to wake.
+    granted: Vec<Vec<Arc<Job>>>,
+}
+
+/// State shared by the acceptor, sessions and the telemetry endpoint
+/// ([`crate::obs_http`] reads it for `/healthz`).
 pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) cfg: ServeConfig,
     pub(crate) shutdown: AtomicBool,
     /// Drain deadline (ns on `cfg.clock`) once shutdown began; 0 = unset.
     drain_by_ns: AtomicU64,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
-    /// EWMA of worker service time in ns (α = 1/8), 0 until the first
-    /// request completes.
+    sched: Mutex<Sched>,
+    /// EWMA of service time in ns (α = 1/8); 0 before the first request.
     ewma_ns: AtomicU64,
     pub(crate) sessions: AtomicUsize,
 }
@@ -177,7 +189,6 @@ impl Shared {
                 .max(1);
             self.drain_by_ns.store(by, Ordering::SeqCst);
         }
-        self.queue_cv.notify_all();
     }
 
     fn draining_expired(&self) -> bool {
@@ -187,7 +198,7 @@ impl Shared {
 
     /// Current queue depth, for `STATS` and `/healthz`.
     pub(crate) fn queue_len(&self) -> usize {
-        self.queue.lock().expect("queue").len()
+        self.sched.lock().expect("queue").queue.len()
     }
 
     fn observe_service(&self, ns: u64) {
@@ -201,6 +212,25 @@ impl Shared {
     }
 }
 
+/// One of `cfg.workers` execution permits. Dropping it — on return or on
+/// unwind, so a panic cannot leak it — forms the oldest queued job's group
+/// and hands the permit to it, waking only that job's session.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.sched.lock().unwrap_or_else(PoisonError::into_inner);
+        let group = take_group(&mut s.queue, self.0.engine.max_batch());
+        let Some(head) = group.first().map(Arc::clone) else {
+            s.free += 1;
+            return;
+        };
+        s.granted.push(group);
+        drop(s);
+        head.wake.notify_one();
+    }
+}
+
 /// A running daemon. Dropping it without [`Server::join`] leaks threads;
 /// call `join` (which drains) or keep it for the process lifetime.
 pub struct Server {
@@ -209,13 +239,12 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     obs_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     session_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and the acceptor, and returns
-    /// immediately; the daemon serves until [`Server::begin_shutdown`].
+    /// Binds, spawns the acceptor, and returns immediately; the daemon
+    /// serves until [`Server::begin_shutdown`].
     pub fn start(engine: Engine, cfg: ServeConfig) -> io::Result<Server> {
         // A daemon is inherently live: arm windowed collection so the
         // rolling STATS quantiles work even without `--obs-addr`. Batch
@@ -226,23 +255,17 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             engine,
+            sched: Mutex::new(Sched {
+                queue: VecDeque::new(),
+                free: cfg.workers.max(1),
+                granted: Vec::new(),
+            }),
             cfg,
             shutdown: AtomicBool::new(false),
             drain_by_ns: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             ewma_ns: AtomicU64::new(0),
             sessions: AtomicUsize::new(0),
         });
-        let workers = (0..shared.cfg.workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("halk-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
         let session_handles = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = shared.clone();
@@ -265,7 +288,6 @@ impl Server {
             shared,
             acceptor: Some(acceptor),
             obs_thread,
-            workers,
             session_handles,
         })
     }
@@ -303,9 +325,6 @@ impl Server {
         }
         if let Some(o) = self.obs_thread.take() {
             let _ = o.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
         let handles: Vec<_> = std::mem::take(&mut *self.session_handles.lock().expect("sessions"));
         for h in handles {
@@ -394,7 +413,7 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let mut stalled = Duration::ZERO;
     'session: loop {
         // During drain, idle connections close; one mid-frame request
-        // still gets read and served (the worker pool is draining too).
+        // still gets read and served (the queue is draining too).
         if shared.shutdown.load(Ordering::SeqCst) && !decoder.is_mid_frame() {
             break;
         }
@@ -418,12 +437,8 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                             break 'session;
                         }
                     };
-                    match req {
-                        Request::Ping => {
-                            if write_response(&mut stream, &Response::Pong).is_err() {
-                                break 'session;
-                            }
-                        }
+                    let sent = match req {
+                        Request::Ping => write_response(&mut stream, &Response::Pong),
                         Request::Shutdown => {
                             shared.begin_shutdown();
                             let _ = write_response(&mut stream, &Response::Bye);
@@ -431,23 +446,16 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                         }
                         // Counters only — answered inline, never queued, so
                         // stats stay readable under full load.
-                        Request::Stats => {
-                            if write_response(&mut stream, &stats_response(shared)).is_err() {
-                                break 'session;
-                            }
-                        }
+                        Request::Stats => write_response(&mut stream, &stats_response(shared)),
                         Request::Ask {
                             engine,
                             top,
                             deadline_ms,
                             sparql,
-                        } => {
-                            if handle_ask(shared, &mut stream, engine, top, deadline_ms, sparql)
-                                .is_err()
-                            {
-                                break 'session;
-                            }
-                        }
+                        } => handle_ask(shared, &mut stream, engine, top, deadline_ms, sparql),
+                    };
+                    if sent.is_err() {
+                        break 'session;
                     }
                 }
             }
@@ -521,10 +529,10 @@ fn stats_response(shared: &Shared) -> Response {
     Response::Stats { pairs }
 }
 
-/// Prepares, admits, enqueues and answers one ASK. `Err` means the socket
-/// failed and the session should close; protocol-level failures are `Ok`
-/// typed responses. Malformed queries are rejected right here in the
-/// session thread ([`Engine::prepare`]) without ever entering the queue.
+/// Prepares, admits and answers one ASK. `Err` means the socket failed
+/// and the session should close; protocol-level failures are `Ok` typed
+/// responses. Malformed queries are rejected right here in the session
+/// thread ([`Engine::prepare`]) without ever entering the queue.
 fn handle_ask(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
@@ -542,89 +550,28 @@ fn handle_ask(
         format!("req={req_id} top={top} deadline_ms={deadline_ms}")
     });
     let started = Instant::now();
-    let prepared = match shared.engine.prepare(engine, &sparql) {
-        Ok(p) => p,
-        Err(resp) => {
-            write_response(stream, &resp)?;
-            let us = started.elapsed().as_micros() as u64;
-            halk_obs::histogram!("halk_serve_latency_us", windowed).record(us);
-            return Ok(());
-        }
-    };
-    let budget = if deadline_ms > 0 {
-        Duration::from_millis(deadline_ms)
-    } else {
-        shared.cfg.default_deadline
-    };
-    let deadline = Deadline::after(&shared.cfg.clock, budget);
-    let (tx, rx) = mpsc::channel();
-    let verdict = {
-        let mut q = shared.queue.lock().expect("queue");
-        if shared.shutdown.load(Ordering::SeqCst) {
-            Err(Response::Error {
-                kind: ErrorKind::Shutdown,
-                detail: "daemon is draining".to_string(),
-            })
-        } else {
-            match admit(
-                q.len(),
-                shared.cfg.queue_cap,
-                shared.ewma_ns.load(Ordering::Relaxed),
-                deadline.remaining_ns(),
-            ) {
-                Ok(()) => {
-                    q.push_back(Job {
-                        prepared,
-                        top,
-                        deadline: deadline.clone(),
-                        reply: tx,
-                        req: req_id,
-                        enqueued_ns: shared.cfg.clock.now_ns(),
-                    });
-                    let depth = q.len();
-                    halk_obs::gauge!("halk_serve_queue_depth").set(depth as f64);
-                    halk_obs::trace::instant_detail("req_enqueue", || {
-                        format!("req={req_id} depth={depth}")
-                    });
-                    shared.queue_cv.notify_one();
-                    Ok(())
-                }
-                Err(why) => {
-                    halk_obs::counter!("halk_serve_overloaded_total", windowed).inc();
-                    Err(Response::Error {
-                        kind: ErrorKind::Overloaded,
-                        detail: match why {
-                            Rejection::QueueFull => {
-                                format!("queue full ({})", shared.cfg.queue_cap)
-                            }
-                            Rejection::DeadlineUnmeetable => {
-                                "predicted wait exceeds deadline".to_string()
-                            }
-                        },
-                    })
-                }
+    let resp = match shared.engine.prepare(engine, &sparql) {
+        Ok(prepared) => {
+            let budget = match deadline_ms {
+                0 => shared.cfg.default_deadline,
+                ms => Duration::from_millis(ms),
+            };
+            let job = Arc::new(Job {
+                prepared,
+                top,
+                deadline: Deadline::after(&shared.cfg.clock, budget),
+                req: req_id,
+                enqueued_ns: shared.cfg.clock.now_ns(),
+                reply: Mutex::new(None),
+                wake: Condvar::new(),
+            });
+            match enter(shared, &job) {
+                Err(rejection) => rejection,
+                Ok(true) => lead(shared, Permit(shared), vec![job]),
+                Ok(false) => wait_turn(shared, &job),
             }
         }
-    };
-    let resp = match verdict {
-        Err(rejection) => rejection,
-        Ok(()) => {
-            // The worker always replies — even for shed or flushed jobs —
-            // so this wait is bounded by deadline + drain + margin.
-            let wait = Duration::from_nanos(
-                deadline
-                    .remaining_ns()
-                    .min((shared.cfg.default_deadline + shared.cfg.drain).as_nanos() as u64),
-            ) + shared.cfg.drain
-                + Duration::from_secs(5);
-            match rx.recv_timeout(wait) {
-                Ok(r) => r,
-                Err(_) => Response::Error {
-                    kind: ErrorKind::Panic,
-                    detail: "worker did not answer".to_string(),
-                },
-            }
-        }
+        Err(resp) => resp,
     };
     write_response(stream, &resp)?;
     let us = started.elapsed().as_micros() as u64;
@@ -632,168 +579,220 @@ fn handle_ask(
     Ok(())
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+/// Admits `job` and, under the same lock, picks its path: `Ok(true)` means
+/// a permit was free and nobody queued — the caller now holds it and runs
+/// the job itself; `Ok(false)` means the job joined the queue.
+fn enter(shared: &Shared, job: &Arc<Job>) -> Result<bool, Response> {
+    let mut s = shared.sched.lock().expect("queue");
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(Response::Error {
+            kind: ErrorKind::Shutdown,
+            detail: "daemon is draining".to_string(),
+        });
+    }
+    let ewma = shared.ewma_ns.load(Ordering::Relaxed);
+    let remaining = job.deadline.remaining_ns();
+    if let Err(why) = admit(s.queue.len(), shared.cfg.queue_cap, ewma, remaining) {
+        halk_obs::counter!("halk_serve_overloaded_total", windowed).inc();
+        return Err(Response::Error {
+            kind: ErrorKind::Overloaded,
+            detail: match why {
+                Rejection::QueueFull => format!("queue full ({})", shared.cfg.queue_cap),
+                Rejection::DeadlineUnmeetable => "predicted wait exceeds deadline".to_string(),
+            },
+        });
+    }
+    let run_now = s.queue.is_empty() && s.free > 0;
+    if run_now {
+        s.free -= 1;
+    } else {
+        s.queue.push_back(Arc::clone(job));
+    }
+    let depth = s.queue.len();
+    halk_obs::gauge!("halk_serve_queue_depth").set(depth as f64);
+    halk_obs::trace::instant_detail("req_enqueue", || format!("req={} depth={depth}", job.req));
+    Ok(run_now)
+}
+
+/// Parks a queued job's session until it is handed a permit to lead its
+/// group or a leader answers it; at every wakeup (at least once per
+/// `read_timeout`) a job still queued sheds itself past either deadline.
+fn wait_turn(shared: &Shared, job: &Arc<Job>) -> Response {
+    let mut s = shared.sched.lock().expect("queue");
     loop {
-        let job = {
-            let mut q = shared.queue.lock().expect("queue");
-            loop {
-                if let Some(j) = q.pop_front() {
-                    halk_obs::gauge!("halk_serve_queue_depth").set(q.len() as f64);
-                    break Some(j);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                q = shared
-                    .queue_cv
-                    .wait_timeout(q, shared.cfg.read_timeout)
-                    .expect("queue")
-                    .0;
-            }
-        };
-        let Some(job) = job else { return };
-        // Skeleton batching: pull queued companions sharing this job's
-        // (shape pointer, engine) key — same `Arc::ptr_eq` homogeneity
-        // guard as `train_batch` — so the group runs one kernel pass per
-        // shard. Fault probes never batch (`batch_key` is None for them).
-        let mut group = vec![job];
-        let key = group[0]
-            .prepared
-            .batch_key()
-            .map(|(s, e)| (Arc::clone(s), e));
-        if let Some((shape, eng)) = key {
-            let mut q = shared.queue.lock().expect("queue");
-            let mut i = 0;
-            while i < q.len() && group.len() < shared.engine.max_batch() {
-                let matches = q[i]
-                    .prepared
-                    .batch_key()
-                    .is_some_and(|(s, e)| Arc::ptr_eq(s, &shape) && e == eng);
-                if matches {
-                    group.push(q.remove(i).expect("index checked"));
-                } else {
-                    i += 1;
-                }
-            }
-            halk_obs::gauge!("halk_serve_queue_depth").set(q.len() as f64);
+        if let Some(resp) = job.reply.lock().expect("reply").take() {
+            return resp;
         }
+        if let Some(i) = s.granted.iter().position(|g| Arc::ptr_eq(&g[0], job)) {
+            let group = s.granted.swap_remove(i);
+            drop(s);
+            return lead(shared, Permit(shared), group);
+        }
+        if let Some(pos) = s.queue.iter().position(|j| Arc::ptr_eq(j, job)) {
+            if let Some(resp) = shed(shared, job) {
+                s.queue.remove(pos);
+                halk_obs::gauge!("halk_serve_queue_depth").set(s.queue.len() as f64);
+                return resp;
+            }
+        }
+        let tick = shared.cfg.read_timeout;
+        s = job.wake.wait_timeout(s, tick).expect("queue").0;
+    }
+}
 
-        // Per-job shedding, exactly as for singles: past the drain
-        // deadline queued work is flushed, and work whose own deadline
-        // passed while queued is shed — the client has given up.
-        let draining = shared.draining_expired();
-        let mut live: Vec<Job> = Vec::with_capacity(group.len());
-        for job in group {
-            if draining {
-                let _ = job.reply.send(Response::Error {
-                    kind: ErrorKind::Shutdown,
-                    detail: "drain deadline reached".to_string(),
-                });
-            } else if job.deadline.expired() {
-                halk_obs::counter!("halk_serve_deadline_shed_total", windowed).inc();
-                let _ = job.reply.send(Response::Error {
-                    kind: ErrorKind::Deadline,
-                    detail: "deadline expired while queued".to_string(),
-                });
+/// Pops the queue's oldest job and pulls every queued companion that can
+/// share its kernel pass — same shape pointer (`Arc::ptr_eq`, the
+/// homogeneity guard `train_batch` uses) and same engine — in queue
+/// order, until the group holds `cap` jobs. Jobs left behind keep their
+/// order. Fault probes have no batch key, so they always run alone.
+/// Updates the queue-depth gauge.
+fn take_group(queue: &mut VecDeque<Arc<Job>>, cap: usize) -> Vec<Arc<Job>> {
+    let Some(first) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let key = first.prepared.batch_key().map(|(s, e)| (Arc::clone(s), e));
+    let mut group = vec![first];
+    if let Some((shape, eng)) = key {
+        let mut i = 0;
+        while i < queue.len() && group.len() < cap {
+            let matches = queue[i]
+                .prepared
+                .batch_key()
+                .is_some_and(|(s, e)| Arc::ptr_eq(s, &shape) && e == eng);
+            if matches {
+                group.push(queue.remove(i).expect("index checked"));
             } else {
-                live.push(job);
+                i += 1;
             }
         }
-        if live.is_empty() {
-            continue;
-        }
+    }
+    halk_obs::gauge!("halk_serve_queue_depth").set(queue.len() as f64);
+    group
+}
 
-        let n = live.len();
-        halk_obs::histogram!("halk_serve_batch_size", windowed).record(n as u64);
-        if n >= 2 {
-            halk_obs::counter!("halk_serve_batched_groups_total", windowed).inc();
+/// The typed answer for a queued job that must not run: flushed past the
+/// drain deadline, or shed because its own deadline passed while queued
+/// (the client has given up).
+fn shed(shared: &Shared, job: &Job) -> Option<Response> {
+    let (kind, detail) = if shared.draining_expired() {
+        (ErrorKind::Shutdown, "drain deadline reached")
+    } else if job.deadline.expired() {
+        halk_obs::counter!("halk_serve_deadline_shed_total", windowed).inc();
+        (ErrorKind::Deadline, "deadline expired while queued")
+    } else {
+        return None;
+    };
+    let detail = detail.to_string();
+    Some(Response::Error { kind, detail })
+}
+
+/// Runs `group` on the calling session's thread under `permit`, then —
+/// flat combining — one pass over the jobs queued by then, so a busy daemon
+/// keeps executing instead of waiting for a parked session to be scheduled.
+/// Returns the caller's answer (`group[0]`'s) after the permit passes on.
+fn lead(shared: &Shared, permit: Permit<'_>, mut group: Vec<Arc<Job>>) -> Response {
+    let own = Arc::clone(&group[0]);
+    let mut pass = None;
+    while !group.is_empty() {
+        run_group(shared, &group);
+        let mut s = shared.sched.lock().expect("queue");
+        let left = pass.get_or_insert(s.queue.len());
+        let next = match *left {
+            0 => Vec::new(),
+            _ => take_group(&mut s.queue, shared.engine.max_batch()),
+        };
+        *left = left.saturating_sub(next.len());
+        drop(s);
+        // The lock was taken after every reply slot was written, so a
+        // session between its slot check and its wait cannot miss this.
+        for job in group.iter().filter(|j| !Arc::ptr_eq(j, &own)) {
+            job.wake.notify_one();
         }
-        let t0 = shared.cfg.clock.now_ns();
-        // Queue wait travels with each item so the slow-query log can tell
-        // "sat in the queue" apart from "slow kernel".
-        let waits: Vec<u64> = live
-            .iter()
-            .map(|j| {
-                let us = t0.saturating_sub(j.enqueued_ns) / 1_000;
-                halk_obs::histogram!("halk_serve_queue_wait_us", windowed).record(us);
-                us
-            })
-            .collect();
-        let _span = halk_obs::span!("serve_request");
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Singles go through `execute_batch` too: it carries the req id
-            // and queue wait into the executor span and slow-query log.
-            let items: Vec<BatchItem> = live
-                .iter()
-                .zip(&waits)
-                .map(|(j, &queue_wait_us)| BatchItem {
-                    prepared: &j.prepared,
-                    top: j.top,
-                    deadline: &j.deadline,
-                    req: j.req,
-                    queue_wait_us,
-                })
-                .collect();
-            shared.engine.execute_batch(&items)
-        }));
-        match outcome {
-            Ok(resps) => {
-                // EWMA observes per-request cost, so batching *improves*
-                // the admission controller's service-time estimate.
-                shared.observe_service(shared.cfg.clock.now_ns().saturating_sub(t0) / n as u64);
-                for (job, resp) in live.iter().zip(resps) {
-                    if matches!(
-                        resp,
-                        Response::Scores {
-                            truncated: true,
-                            ..
-                        }
-                    ) {
-                        halk_obs::counter!("halk_serve_truncated_total", windowed).inc();
+        group = next;
+    }
+    drop(permit);
+    let reply = own.reply.lock().expect("reply").take();
+    reply.expect("run_group answers every job")
+}
+
+/// Answers every member of a group through its reply slot. Shed members
+/// get their typed error; the rest execute as one batch under
+/// `catch_unwind`.
+fn run_group(shared: &Shared, group: &[Arc<Job>]) {
+    let answer = |job: &Job, resp| *job.reply.lock().expect("reply") = Some(resp);
+    let mut live: Vec<&Job> = Vec::with_capacity(group.len());
+    for job in group {
+        match shed(shared, job) {
+            Some(resp) => answer(job, resp),
+            None => live.push(job),
+        }
+    }
+    let n = live.len();
+    if n == 0 {
+        return;
+    }
+    halk_obs::histogram!("halk_serve_batch_size", windowed).record(n as u64);
+    if n >= 2 {
+        halk_obs::counter!("halk_serve_batched_groups_total", windowed).inc();
+    }
+    let t0 = shared.cfg.clock.now_ns();
+    // Queue wait travels with each item so the slow-query log can tell
+    // "sat in the queue" apart from "slow kernel".
+    let items: Vec<BatchItem> = live
+        .iter()
+        .map(|j| {
+            let queue_wait_us = t0.saturating_sub(j.enqueued_ns) / 1_000;
+            halk_obs::histogram!("halk_serve_queue_wait_us", windowed).record(queue_wait_us);
+            BatchItem {
+                prepared: &j.prepared,
+                top: j.top,
+                deadline: &j.deadline,
+                req: j.req,
+                queue_wait_us,
+            }
+        })
+        .collect();
+    let panicked = || {
+        halk_obs::counter!("halk_serve_panics_total", windowed).inc();
+        Response::Error {
+            kind: ErrorKind::Panic,
+            detail: "request panicked; daemon still serving".to_string(),
+        }
+    };
+    let _span = halk_obs::span!("serve_request");
+    // Singles go through `execute_batch` too: it carries the req id and
+    // queue wait into the executor span and slow-query log.
+    match catch_unwind(AssertUnwindSafe(|| shared.engine.execute_batch(&items))) {
+        Ok(resps) => {
+            // EWMA observes per-request cost, so batching *improves* the
+            // admission controller's service-time estimate.
+            shared.observe_service(shared.cfg.clock.now_ns().saturating_sub(t0) / n as u64);
+            for (job, resp) in live.into_iter().zip(resps) {
+                if matches!(resp, Response::Scores { truncated, .. } if truncated) {
+                    halk_obs::counter!("halk_serve_truncated_total", windowed).inc();
+                }
+                answer(job, resp);
+            }
+        }
+        // The request died; the daemon must not. Panic payload is already
+        // printed by the default hook.
+        Err(_) if n == 1 => answer(live[0], panicked()),
+        // A batch member panicked the whole group: retry each job alone
+        // under its own catch_unwind so one hostile query cannot poison
+        // its batch-mates' answers. Retries keep the original req id — it
+        // is the same request, retraced.
+        Err(_) => {
+            for (job, item) in live.into_iter().zip(&items) {
+                let t1 = shared.cfg.clock.now_ns();
+                let one = catch_unwind(AssertUnwindSafe(|| shared.engine.execute_batch(&[*item])));
+                let resp = match one {
+                    Ok(mut r) => {
+                        shared.observe_service(shared.cfg.clock.now_ns().saturating_sub(t1));
+                        r.pop().expect("one item in, one response out")
                     }
-                    let _ = job.reply.send(resp);
-                }
-            }
-            Err(_) if n == 1 => {
-                // The request died; the daemon must not. Panic payload is
-                // already printed by the default hook.
-                halk_obs::counter!("halk_serve_panics_total", windowed).inc();
-                let _ = live[0].reply.send(Response::Error {
-                    kind: ErrorKind::Panic,
-                    detail: "request panicked; daemon still serving".to_string(),
-                });
-            }
-            Err(_) => {
-                // A batch member panicked the whole group: retry each job
-                // alone under its own catch_unwind so one hostile query
-                // cannot poison its batch-mates' answers. Retries keep the
-                // original req id — it is the same request, retraced.
-                for (job, &queue_wait_us) in live.iter().zip(&waits) {
-                    let t1 = shared.cfg.clock.now_ns();
-                    let one = catch_unwind(AssertUnwindSafe(|| {
-                        shared.engine.execute_batch(&[BatchItem {
-                            prepared: &job.prepared,
-                            top: job.top,
-                            deadline: &job.deadline,
-                            req: job.req,
-                            queue_wait_us,
-                        }])
-                    }));
-                    let resp = match one {
-                        Ok(mut r) => {
-                            shared.observe_service(shared.cfg.clock.now_ns().saturating_sub(t1));
-                            r.pop().expect("one item in, one response out")
-                        }
-                        Err(_) => {
-                            halk_obs::counter!("halk_serve_panics_total", windowed).inc();
-                            Response::Error {
-                                kind: ErrorKind::Panic,
-                                detail: "request panicked; daemon still serving".to_string(),
-                            }
-                        }
-                    };
-                    let _ = job.reply.send(resp);
-                }
+                    Err(_) => panicked(),
+                };
+                answer(job, resp);
             }
         }
     }
@@ -802,6 +801,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::AskEngine::{self, Exact, Halk};
 
     #[test]
     fn admit_rejects_full_queue() {
@@ -838,8 +838,11 @@ mod tests {
             cfg: ServeConfig::default(),
             shutdown: AtomicBool::new(false),
             drain_by_ns: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            sched: Mutex::new(Sched {
+                queue: VecDeque::new(),
+                free: 1,
+                granted: Vec::new(),
+            }),
             ewma_ns: AtomicU64::new(0),
             sessions: AtomicUsize::new(0),
         };
@@ -850,5 +853,82 @@ mod tests {
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 9_000);
         shared.observe_service(0);
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 7_875);
+    }
+
+    /// A hand-built queue for [`take_group`]: one job per `(engine, sparql)`,
+    /// numbered by position through its `req`.
+    fn queue_of(asks: &[(AskEngine, &str)]) -> VecDeque<Arc<Job>> {
+        let graph = halk_kg::Graph::from_triples(
+            4,
+            2,
+            vec![halk_kg::Triple::new(0, 0, 1), halk_kg::Triple::new(1, 1, 2)],
+        );
+        let engine = Engine::new(graph, None).test_faults(true);
+        asks.iter()
+            .enumerate()
+            .map(|(i, &(eng, sparql))| {
+                Arc::new(Job {
+                    prepared: engine
+                        .prepare(eng, sparql)
+                        .unwrap_or_else(|_| panic!("{sparql}")),
+                    top: 10,
+                    deadline: Deadline::never(),
+                    req: i as u64,
+                    enqueued_ns: 0,
+                    reply: Mutex::new(None),
+                    wake: Condvar::new(),
+                })
+            })
+            .collect()
+    }
+
+    fn reqs<'a>(jobs: impl IntoIterator<Item = &'a Arc<Job>>) -> Vec<u64> {
+        jobs.into_iter().map(|j| j.req).collect()
+    }
+
+    const P1A: &str = "SELECT ?x WHERE { e:0 r:0 ?x . }";
+    const P1B: &str = "SELECT ?x WHERE { e:1 r:1 ?x . }";
+    const P2: &str = "SELECT ?x WHERE { e:0 r:0 ?y . ?y r:1 ?x . }";
+
+    #[test]
+    fn take_group_pulls_same_shape_and_engine_in_queue_order() {
+        // Same 1p skeleton twice more behind the leader, interleaved with
+        // a 2p query, a fault probe and a 1p query for the other engine.
+        let mut q = queue_of(&[
+            (Exact, P1A),
+            (Exact, P2),
+            (Exact, P1B),
+            (Exact, "__panic__"),
+            (Halk, P1A),
+            (Exact, P1A),
+        ]);
+        let group = take_group(&mut q, 16);
+        assert_eq!(reqs(&group), [0, 2, 5]);
+        assert_eq!(reqs(&q), [1, 3, 4], "left-behind jobs keep their order");
+    }
+
+    #[test]
+    fn take_group_stops_at_the_cap() {
+        let mut q = queue_of(&[
+            (Exact, P1A),
+            (Exact, P1B),
+            (Exact, P2),
+            (Exact, P1A),
+            (Exact, P1B),
+        ]);
+        assert_eq!(reqs(&take_group(&mut q, 3)), [0, 1, 3]);
+        assert_eq!(reqs(&q), [2, 4]);
+        // A cap of one is the leader alone.
+        assert_eq!(reqs(&take_group(&mut q, 1)), [2]);
+        assert_eq!(reqs(&q), [4]);
+    }
+
+    #[test]
+    fn fault_probes_lead_alone_and_an_empty_queue_yields_nothing() {
+        let mut q = queue_of(&[(Exact, "__sleep__:1"), (Exact, "__sleep__:1"), (Exact, P1A)]);
+        assert_eq!(reqs(&take_group(&mut q, 16)), [0]);
+        assert_eq!(reqs(&q), [1, 2]);
+        let mut empty = VecDeque::new();
+        assert!(take_group(&mut empty, 16).is_empty());
     }
 }

@@ -160,9 +160,10 @@ echo "==> serve smoke (daemon + load_gen with fault injection + live telemetry)"
 
 echo "==> shard smoke (4-shard daemon + load_gen bit-identity)"
 # The same daemon/load_gen drill with sharded scoring pinned on: four arc
-# shards on a 4-worker pool, skeleton batching active in worker_loop. The
-# load generator checks every halk answer bit-for-bit against a local
-# full-vector top_k_indices reference, so `"mismatches":0` is the
+# shards on a 4-thread pool, with same-skeleton batching whenever
+# requests queue for an execution permit. The load generator checks
+# every halk answer bit-for-bit against a local full-vector
+# top_k_indices reference, so `"mismatches":0` is the
 # sharding + batching correctness gate, not just liveness. The summary
 # also carries the daemon's own batching counters (STATS frame).
 (
@@ -176,6 +177,26 @@ echo "==> shard smoke (4-shard daemon + load_gen bit-identity)"
     }
     with_daemon serve_shard shard_body HALK_THREADS=4 -- \
         --graph g.tsv --model model --shards 4
+)
+
+echo "==> contended smoke (one execution permit, four clients)"
+# Four closed-loop clients against a single execution permit: most requests
+# queue (89% in an instrumented 5 s run on 2 vCPUs), so permit holders run
+# combining passes and hand released permits to queued sessions, which lead
+# their same-skeleton groups and answer companions through reply slots
+# (DESIGN.md §12). The benchmark's two connections against two permits
+# never queue, so this path gets its own bit-identity gate.
+(
+    cd "$OBS_TMP"
+    contended_body() {
+        "$ROOT/target/release/load_gen" \
+            --addr "$ADDR" --graph g.tsv --model model \
+            --duration-ms 2000 --clients 4 > loadgen_contended.json
+        grep -q '"mismatches":0' loadgen_contended.json
+        grep -q '"server_errors":0' loadgen_contended.json
+    }
+    with_daemon serve_contended contended_body -- \
+        --graph g.tsv --model model --shards 2 --workers 1
 )
 
 echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
