@@ -1,50 +1,44 @@
-//! Hot-path regression harness (ISSUE PR 2, extended in PRs 3–4): times the
-//! kernels the whole reproduction sits on — `score_all` (vectorized vs the
-//! retained scalar reference), one optimizer step, sampler throughput, dense
-//! `matmul`, the parallel-runtime eval/train paths at the ambient thread
-//! count vs one worker, and the query-plan compiler (compile-from-scratch
-//! vs a warm-cache embed) — at fixed seeds, and writes `BENCH_hotpath.json`
-//! at the repo root so future changes can be diffed with `--compare`
-//! (schema `halk-bench-hotpath/v8`; `--compare` still reads v1-v7
-//! baselines, comparing the shared keys). The v4 schema added a
-//! `tracing_overhead_disabled` entry (one `span!` open+close with no trace
-//! file configured — must stay at a few ns) and a `metrics_snapshot` field
-//! recording where the metrics-registry snapshot (pool busy/wall
-//! histograms, plan-cache and eval counters accumulated while benching)
-//! was written: `results/bench_hotpath_metrics.json` by default,
-//! `--metrics-out` to override. The v5 schema adds a serving-scale pair
-//! at 8000 entities, both normalized to ns per query over a group of 8
-//! same-skeleton requests: `score_all_8000` (the pre-sharding serve path
-//! — per request, one plan embedding, a fresh full score vector, an
-//! argsort top-k) against `topk_sharded_8000` (what the serving worker
-//! now runs: one batched embedding for the group, then arc-sharded
-//! streaming heaps + merge-k), so `--compare` gates the sharded kernel
-//! too. The v6 schema adds the serving-ready cold-start pair at 8000
-//! entities / 50k triples — `tsv_boot_8000` (triple TSV parse +
-//! `HalkModel::new` seeded init + checkpoint load + the sin/cos trig
-//! shard build, the pre-snapshot serve boot) against `snapshot_boot_8000`
-//! (`halk_snap::read_file`: one CRC-framed binary decode into the
-//! `from_parts` constructors, then re-slicing the shipped TRIG table into
-//! shards) — plus the quantized scoring pair `score_all_8000_f32` /
-//! `score_all_8000_i16` (same queries, same hoisted output buffer, trig
-//! stored at each precision). The v7 schema adds `executor_group_8000`:
-//! the same 8-query group submitted through the skeleton-keyed batch
-//! executor (`halk_core::exec`, ISSUE 9) with a serve-style backend, so
-//! `--compare` gates the executor's envelope (keying, grouping, obs,
-//! scatter) on top of the raw batched kernel it wraps. The v8 schema adds
-//! the windowed-histogram record pair: `windowed_record_disarmed` (the
-//! default for batch binaries — the cumulative adds plus the arm-flag
-//! check) and `windowed_record_armed` (what a live daemon pays per
-//! latency sample); both time one `record` on a windowed histogram.
+//! Hot-path regression harness: times the kernels the whole reproduction
+//! sits on at fixed seeds and writes `BENCH_hotpath.json` at the repo root,
+//! so later changes can be diffed with `--compare`. Every entry is the
+//! median per-call nanoseconds over sample batches:
+//!
+//! - scoring: `score_all_{up,p2}` (vectorized kernel) against their
+//!   `_scalar` references, and `score_all_up_cached_trig` with the entity
+//!   trig table and output buffer hoisted out of the loop;
+//! - the query-plan compiler: `plan_compile_up` (cold DNF rewrite + slot
+//!   dedup) against `embed_up_cached_plan` (embed through the warm cache);
+//! - observability: `tracing_overhead_disabled` (one span with no trace
+//!   file) and `windowed_record_{disarmed,armed}` (one windowed-histogram
+//!   record, batch default vs live daemon);
+//! - training: `train_step_<structure>`, one optimizer step per operator
+//!   family (pi, 1p projection, 3p chain, 3i intersection, 3d difference,
+//!   2in negation) — the per-operator cost behind Fig. 6b — and
+//!   `train_step_parallel` / `eval_parallel` at the ambient thread count
+//!   against one thread;
+//! - substrate: `sampler_pi_batch` and dense `matmul_<n>`;
+//! - serving scale (8000 entities, ns per query over a group of 8
+//!   same-skeleton requests): `score_all_8000` (full vector + argsort per
+//!   request), `topk_sharded_8000` (batched embed + arc-sharded streaming
+//!   top-k), `executor_group_8000` (the same group through the batch
+//!   executor), `score_all_8000_{f32,i16}` (trig table at each precision);
+//! - cold start at 8000 entities / 50k triples: `tsv_boot_8000` against
+//!   `snapshot_boot_8000`.
+//!
+//! Schema `halk-bench-hotpath/v9`: `{schema, metrics_snapshot, config,
+//! results: {<name>: {median_ns, iters, ...extra}}, derived}`.
+//! `--compare` reads every earlier version and compares the keys both runs
+//! share. `metrics_snapshot` names where the metrics-registry snapshot
+//! (pool, plan-cache and eval counters accumulated while benching) went.
 //!
 //! Usage:
 //!   bench_hotpath [--smoke] [--out <path>] [--compare <old.json>]
 //!                 [--metrics-out <path>]
 //!
-//! `--smoke` runs a seconds-scale configuration (CI sanity; does not write
-//! the JSON unless `--out` is given). `--compare` exits non-zero if any
-//! shared benchmark regressed by more than 15%, naming each regressed
-//! entry with its slowdown percentage.
+//! `--smoke` runs a seconds-scale configuration (CI sanity; writes neither
+//! the JSON nor the metrics snapshot unless `--out` / `--metrics-out` is
+//! given). `--compare` exits non-zero if any shared benchmark regressed by
+//! more than 15%, naming each regressed entry with its slowdown percentage.
 
 use halk_core::{
     evaluate_structure_pool, top_k_indices, ArcShards, ExecBackend, ExecConfig, Executor,
@@ -165,28 +159,37 @@ fn main() {
         .expect("groundable p2 query");
 
     let mut results: Vec<(String, Value)> = Vec::new();
-    let mut record = |name: &str, ns: f64, iters: usize| {
+    // One entry per measurement: `median_ns` and `iters`, then any extra
+    // context fields (thread counts, scale, sizes) in the order given.
+    let mut record = |name: &str, ns: f64, iters: usize, extra: Option<Value>| {
         println!("{name:24} {ns:>12.0} ns/op   ({iters} iters/sample)");
-        results.push((name.to_string(), json!({ "median_ns": ns, "iters": iters })));
+        let mut entry = vec![
+            ("median_ns".to_string(), json!(ns)),
+            ("iters".to_string(), json!(iters)),
+        ];
+        if let Some(Value::Object(fields)) = extra {
+            entry.extend(fields);
+        }
+        results.push((name.to_string(), Value::Object(entry)));
     };
 
     // --- score_all: vectorized kernel (public path) vs scalar reference.
     let ns_vec = median_ns(samples, iters, || {
         black_box(model.score_all(&up.query));
     });
-    record("score_all_up", ns_vec, iters);
+    record("score_all_up", ns_vec, iters, None);
     let ns_scalar = median_ns(samples, iters, || {
         black_box(model.score_all_scalar(&up.query));
     });
-    record("score_all_up_scalar", ns_scalar, iters);
+    record("score_all_up_scalar", ns_scalar, iters, None);
     let ns_vec_p2 = median_ns(samples, iters, || {
         black_box(model.score_all(&p2.query));
     });
-    record("score_all_p2", ns_vec_p2, iters);
+    record("score_all_p2", ns_vec_p2, iters, None);
     let ns_scalar_p2 = median_ns(samples, iters, || {
         black_box(model.score_all_scalar(&p2.query));
     });
-    record("score_all_p2_scalar", ns_scalar_p2, iters);
+    record("score_all_p2_scalar", ns_scalar_p2, iters, None);
     // Amortized shape (what eval's score cache does): entity trig and the
     // output buffer hoisted out of the loop.
     let trig = model.entity_trig();
@@ -195,9 +198,9 @@ fn main() {
         model.score_all_with(&trig, &up.query, &mut scores);
         black_box(&scores);
     });
-    record("score_all_up_cached_trig", ns_amort, iters);
+    record("score_all_up_cached_trig", ns_amort, iters, None);
 
-    // --- query-plan compiler (PR 4): one cold compile (DNF rewrite + slot
+    // --- query-plan compiler: one cold compile (DNF rewrite + slot
     // dedup + binding extraction) vs a full embed through the warm
     // per-structure cache — the amortization the plan IR buys.
     let ns_compile = median_ns(samples, iters, || {
@@ -205,11 +208,11 @@ fn main() {
         let bindings = PlanBindings::of(&up.query);
         black_box((shape, bindings));
     });
-    record("plan_compile_up", ns_compile, iters);
+    record("plan_compile_up", ns_compile, iters, None);
     let ns_embed_cached = median_ns(samples, iters, || {
         black_box(model.embed_query(&up.query));
     });
-    record("embed_up_cached_plan", ns_embed_cached, iters);
+    record("embed_up_cached_plan", ns_embed_cached, iters, None);
 
     // --- disabled-tracing overhead: one span open+close with no trace file
     // configured must cost a few ns (one relaxed atomic load and an inert
@@ -220,7 +223,7 @@ fn main() {
         let guard = halk_obs::span!("bench_disabled_span");
         black_box(&guard);
     });
-    record("tracing_overhead_disabled", ns_span, span_iters);
+    record("tracing_overhead_disabled", ns_span, span_iters, None);
 
     // --- windowed-histogram record path: one `record` on a windowed
     // histogram handle. Disarmed (the default for every batch binary) it
@@ -233,21 +236,43 @@ fn main() {
     let ns_disarmed = median_ns(samples, span_iters, || {
         wh.record(black_box(137));
     });
-    record("windowed_record_disarmed", ns_disarmed, span_iters);
+    record("windowed_record_disarmed", ns_disarmed, span_iters, None);
     halk_obs::window::set_enabled(true);
     let ns_armed = median_ns(samples, span_iters, || {
         wh.record(black_box(137));
     });
     halk_obs::window::set_enabled(false);
-    record("windowed_record_armed", ns_armed, span_iters);
+    record("windowed_record_armed", ns_armed, span_iters, None);
 
-    // --- one optimizer step (embed + loss + backward + Adam), pooled tape.
-    let batch = batch_for(&g, Structure::Pi, cfg.batch_size, 2);
+    // --- one optimizer step (embed + loss + backward + Adam), pooled tape,
+    // per operator family: the per-operator cost behind Fig. 6b's offline
+    // time. pi runs first, on the untrained model its baseline key was
+    // recorded against; a structure with no groundable batch is skipped.
     let train_iters = if args.smoke { 2 } else { 5 };
-    let ns_train = median_ns(samples, train_iters, || {
-        black_box(model.train_batch(&batch));
-    });
-    record("train_step_pi", ns_train, train_iters);
+    let train_batches = [
+        Structure::Pi,
+        Structure::P1,
+        Structure::P3,
+        Structure::I3,
+        Structure::D3,
+        Structure::In2,
+    ]
+    .map(|s| (s, batch_for(&g, s, cfg.batch_size, 2)));
+    for (s, batch) in &train_batches {
+        if batch.is_empty() {
+            continue;
+        }
+        let ns_train = median_ns(samples, train_iters, || {
+            black_box(model.train_batch(batch));
+        });
+        record(
+            &format!("train_step_{}", s.name()),
+            ns_train,
+            train_iters,
+            None,
+        );
+    }
+    let batch = &train_batches[0].1; // pi, also train_step_parallel's batch
 
     // --- sampler throughput (queries/s feeds the training loop).
     let n_q = if args.smoke { 8 } else { 64 };
@@ -255,7 +280,7 @@ fn main() {
     let ns_sample = median_ns(samples, iters, || {
         black_box(sampler.sample_many(Structure::Pi, n_q, &mut srng));
     });
-    record("sampler_pi_batch", ns_sample, iters);
+    record("sampler_pi_batch", ns_sample, iters, None);
 
     // --- dense matmul (the MLP workhorse), branch-free inner loop.
     let mut mrng = StdRng::seed_from_u64(6);
@@ -264,9 +289,9 @@ fn main() {
     let ns_matmul = median_ns(samples, iters, || {
         black_box(a.matmul(&b));
     });
-    record(&format!("matmul_{matmul_n}"), ns_matmul, iters);
+    record(&format!("matmul_{matmul_n}"), ns_matmul, iters, None);
 
-    // --- parallel runtime (PR 3): an evaluation sweep and a training step
+    // --- parallel runtime: an evaluation sweep and a training step
     // at the ambient thread count vs one worker. Thread counts and the
     // host's hardware parallelism are recorded so speedups are read in
     // context (on a single-core host both pools collapse to one worker and
@@ -296,41 +321,39 @@ fn main() {
         ));
     });
     let eval_speedup = ns_eval_1 / ns_eval_n;
-    println!("eval_parallel            {ns_eval_n:>12.0} ns/op   ({threads} threads, {eval_speedup:.2}x vs 1 thread)");
-    results.push((
-        "eval_parallel".to_string(),
-        json!({
-            "median_ns": ns_eval_n,
-            "iters": 1,
+    record(
+        "eval_parallel",
+        ns_eval_n,
+        1,
+        Some(json!({
             "threads": threads,
             "baseline_1thread_ns": ns_eval_1,
             "speedup_vs_1thread": eval_speedup,
-        }),
-    ));
+        })),
+    );
 
     model.set_threads(1);
     let ns_train_1 = median_ns(samples, train_iters, || {
-        black_box(model.train_batch(&batch));
+        black_box(model.train_batch(batch));
     });
     model.set_threads(threads);
     let ns_train_n = median_ns(samples, train_iters, || {
-        black_box(model.train_batch(&batch));
+        black_box(model.train_batch(batch));
     });
     model.set_threads(0);
     let train_speedup = ns_train_1 / ns_train_n;
-    println!("train_step_parallel      {ns_train_n:>12.0} ns/op   ({threads} threads, {train_speedup:.2}x vs 1 thread)");
-    results.push((
-        "train_step_parallel".to_string(),
-        json!({
-            "median_ns": ns_train_n,
-            "iters": train_iters,
+    record(
+        "train_step_parallel",
+        ns_train_n,
+        train_iters,
+        Some(json!({
             "threads": threads,
             "baseline_1thread_ns": ns_train_1,
             "speedup_vs_1thread": train_speedup,
-        }),
-    ));
+        })),
+    );
 
-    // --- sharded streaming top-k (PR 7) at serving scale: 8000 entities,
+    // --- sharded streaming top-k at serving scale: 8000 entities,
     // same config otherwise. `score_all_8000` is the pre-sharding serve
     // path — a fresh full score vector plus `top_k_indices` argsort per
     // request, repeated for each request in a group of 8; `topk_sharded_8000`
@@ -368,17 +391,16 @@ fn main() {
             black_box(top_k_indices(&scores, 10));
         }
     }) / group8.len() as f64;
-    println!("score_all_8000           {ns_full8:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "score_all_8000".to_string(),
-        json!({
-            "median_ns": ns_full8,
-            "iters": iters,
+    record(
+        "score_all_8000",
+        ns_full8,
+        iters,
+        Some(json!({
             "n_entities": 8000,
             "k": 10,
             "group": group8.len(),
-        }),
-    ));
+        })),
+    );
     let shape8 = PlanShape::compile(&group8[0]);
     let ks8 = [10usize; 8];
     let deadlines8 = [&never; 8];
@@ -394,22 +416,21 @@ fn main() {
             None,
         ));
     }) / group8.len() as f64;
-    println!("topk_sharded_8000        {ns_sharded8:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "topk_sharded_8000".to_string(),
-        json!({
-            "median_ns": ns_sharded8,
-            "iters": iters,
+    record(
+        "topk_sharded_8000",
+        ns_sharded8,
+        iters,
+        Some(json!({
             "n_entities": 8000,
             "k": 10,
             "group": group8.len(),
             "shards": 8,
             "pool_threads": 1,
-        }),
-    ));
+        })),
+    );
     let sharded_speedup = ns_full8 / ns_sharded8;
 
-    // --- the skeleton-keyed batch executor (ISSUE 9): the same 8-query
+    // --- the skeleton-keyed batch executor: the same 8-query
     // group pushed through `Executor::submit` with a serve-style backend.
     // Keying, group formation, obs accounting, and the scatter back to
     // submission order all ride on top of the batched embed + sharded
@@ -455,22 +476,21 @@ fn main() {
     let ns_exec8 = median_ns(samples, iters, || {
         black_box(exec8.submit(&backend8, &group8));
     }) / group8.len() as f64;
-    println!("executor_group_8000      {ns_exec8:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "executor_group_8000".to_string(),
-        json!({
-            "median_ns": ns_exec8,
-            "iters": iters,
+    record(
+        "executor_group_8000",
+        ns_exec8,
+        iters,
+        Some(json!({
             "n_entities": 8000,
             "k": 10,
             "group": group8.len(),
             "shards": 8,
             "pool_threads": 1,
-        }),
-    ));
+        })),
+    );
     let executor_overhead = ns_exec8 / ns_sharded8;
 
-    // --- quantized scoring (ISSUE 8): the same 8-query group swept with
+    // --- quantized scoring: the same 8-query group swept with
     // the trig table stored at F32 vs I16 fixed point. Both use the
     // amortized shape (hoisted trig + reusable output buffer) so the
     // number isolates the kernel, not allocation. I16 halves the resident
@@ -484,37 +504,35 @@ fn main() {
             black_box(&qscores);
         }
     }) / group8.len() as f64;
-    println!("score_all_8000_f32       {ns_q_f32:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "score_all_8000_f32".to_string(),
-        json!({
-            "median_ns": ns_q_f32,
-            "iters": iters,
+    record(
+        "score_all_8000_f32",
+        ns_q_f32,
+        iters,
+        Some(json!({
             "n_entities": 8000,
             "group": group8.len(),
             "trig_resident_bytes": trig8.resident_bytes(),
-        }),
-    ));
+        })),
+    );
     let ns_q_i16 = median_ns(samples, iters, || {
         for q in &group8 {
             model8.score_all_with(&trig8_i16, q, &mut qscores);
             black_box(&qscores);
         }
     }) / group8.len() as f64;
-    println!("score_all_8000_i16       {ns_q_i16:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "score_all_8000_i16".to_string(),
-        json!({
-            "median_ns": ns_q_i16,
-            "iters": iters,
+    record(
+        "score_all_8000_i16",
+        ns_q_i16,
+        iters,
+        Some(json!({
             "n_entities": 8000,
             "group": group8.len(),
             "trig_resident_bytes": trig8_i16.resident_bytes(),
-        }),
-    ));
+        })),
+    );
     let quantized_ratio = ns_q_f32 / ns_q_i16;
 
-    // --- cold start (ISSUE 8): the two ways `halk serve` can reach a
+    // --- cold start: the two ways `halk serve` can reach a
     // *serving-ready* engine — graph loaded, model restored, shard-local
     // trig tables built — at the 10x Table VI scale (8000 entities and a
     // realistically dense 50k triples; the quantized-scoring graph above
@@ -549,17 +567,16 @@ fn main() {
         let sharded = m.entity_shards_with(boot_shards, Precision::F32);
         black_box((g, m, sharded));
     });
-    println!("tsv_boot_8000            {ns_tsv_boot:>12.0} ns/op   (1 iters/sample)");
-    results.push((
-        "tsv_boot_8000".to_string(),
-        json!({
-            "median_ns": ns_tsv_boot,
-            "iters": 1,
+    record(
+        "tsv_boot_8000",
+        ns_tsv_boot,
+        1,
+        Some(json!({
             "n_entities": 8000,
             "n_triples": boot_g.n_triples(),
             "shards": boot_shards,
-        }),
-    ));
+        })),
+    );
     let ns_snap_boot = median_ns(boot_samples, 1, || {
         let (g, m, trig) = halk_snap::read_file(&snap_path).expect("snapshot boot");
         let parts = ArcShards::new(trig.n_entities(), boot_shards);
@@ -567,18 +584,17 @@ fn main() {
         drop(trig); // the engine keeps only the shard slices resident
         black_box((g, m, sharded));
     });
-    println!("snapshot_boot_8000       {ns_snap_boot:>12.0} ns/op   (1 iters/sample)");
-    results.push((
-        "snapshot_boot_8000".to_string(),
-        json!({
-            "median_ns": ns_snap_boot,
-            "iters": 1,
+    record(
+        "snapshot_boot_8000",
+        ns_snap_boot,
+        1,
+        Some(json!({
             "n_entities": 8000,
             "n_triples": boot_g.n_triples(),
             "shards": boot_shards,
             "snapshot_bytes": std::fs::metadata(&snap_path).map_or(0, |m| m.len()),
-        }),
-    ));
+        })),
+    );
     let boot_speedup = ns_tsv_boot / ns_snap_boot;
     // Both boots must land on the same deployment: snapshot answers are
     // bit-identical to the TSV path's by construction — spot-check it here
@@ -611,20 +627,27 @@ fn main() {
     println!("executor_group_8000 vs topk_sharded_8000: {executor_overhead:.2}x envelope");
     println!("score_all_8000 f32 vs i16: {quantized_ratio:.2}x");
     println!("snapshot_boot_8000 vs tsv_boot_8000: {boot_speedup:.2}x");
+    println!(
+        "eval_parallel / train_step_parallel vs 1 thread: {eval_speedup:.2}x / \
+         {train_speedup:.2}x ({threads} threads)"
+    );
 
     // Snapshot the metrics the instrumented paths accumulated while
     // benching (pool regions, plan-cache hits/misses, eval counters).
-    let metrics_path = args
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| "results/bench_hotpath_metrics.json".to_string());
-    match halk_obs::metrics::write_snapshot(&metrics_path) {
-        Ok(()) => println!("metrics snapshot written to {metrics_path}"),
-        Err(e) => halk_obs::log!(Error, "cannot write metrics snapshot {metrics_path}: {e}"),
+    let metrics_path = output_path(
+        &args.metrics_out,
+        args.smoke,
+        "results/bench_hotpath_metrics.json",
+    );
+    if let Some(path) = &metrics_path {
+        match halk_obs::metrics::write_snapshot(path) {
+            Ok(()) => println!("metrics snapshot written to {path}"),
+            Err(e) => halk_obs::log!(Error, "cannot write metrics snapshot {path}: {e}"),
+        }
     }
 
     let report = json!({
-        "schema": "halk-bench-hotpath/v8",
+        "schema": "halk-bench-hotpath/v9",
         "metrics_snapshot": metrics_path,
         "config": json!({
             "smoke": args.smoke,
@@ -652,14 +675,7 @@ fn main() {
         }),
     });
 
-    // Full runs refresh the committed baseline by default; --smoke only
-    // writes when asked (CI must not clobber the release-mode numbers).
-    let out_path = match (&args.out, args.smoke) {
-        (Some(p), _) => Some(p.clone()),
-        (None, false) => Some("BENCH_hotpath.json".to_string()),
-        (None, true) => None,
-    };
-    if let Some(path) = out_path {
+    if let Some(path) = output_path(&args.out, args.smoke, "BENCH_hotpath.json") {
         let text = serde_json::to_string_pretty(&report).expect("serialize");
         std::fs::write(&path, text + "\n").expect("write benchmark json");
         println!("wrote {path}");
@@ -670,6 +686,17 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read {old_path}: {e}"));
         let old: Value = serde_json::from_str(&old_text).expect("parse old json");
         std::process::exit(compare(&old, &report));
+    }
+}
+
+/// Where an output goes: the explicit path if given; otherwise full runs
+/// refresh the committed file and `--smoke` writes nothing (CI must not
+/// clobber the release-mode numbers).
+fn output_path(given: &Option<String>, smoke: bool, default: &str) -> Option<String> {
+    match (given, smoke) {
+        (Some(p), _) => Some(p.clone()),
+        (None, false) => Some(default.to_string()),
+        (None, true) => None,
     }
 }
 
@@ -725,5 +752,54 @@ fn compare(old: &Value, new: &Value) -> i32 {
             if regressed.len() == 1 { "y" } else { "ies" },
         );
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(entries: &[(&str, f64)]) -> Value {
+        let results = entries
+            .iter()
+            .map(|&(name, ns)| (name.to_string(), json!({ "median_ns": ns, "iters": 1 })))
+            .collect();
+        json!({ "schema": "halk-bench-hotpath/v9", "results": Value::Object(results) })
+    }
+
+    #[test]
+    fn entry_beyond_the_bound_regresses() {
+        let old = report(&[("score_all_up", 100.0), ("matmul_128", 100.0)]);
+        let new = report(&[("score_all_up", 116.0), ("matmul_128", 100.0)]);
+        assert_eq!(compare(&old, &new), 1);
+    }
+
+    #[test]
+    fn entries_within_the_bound_pass() {
+        let old = report(&[("score_all_up", 100.0), ("matmul_128", 100.0)]);
+        let new = report(&[("score_all_up", 114.0), ("matmul_128", 60.0)]);
+        assert_eq!(compare(&old, &new), 0);
+    }
+
+    #[test]
+    fn entry_missing_from_the_new_run_is_skipped() {
+        let old = report(&[("score_all_up", 100.0), ("retired_entry", 1.0)]);
+        let new = report(&[("score_all_up", 100.0)]);
+        assert_eq!(compare(&old, &new), 0);
+    }
+
+    #[test]
+    fn key_only_in_the_new_run_is_ignored() {
+        // A v8 baseline knows only train_step_pi; the per-operator keys
+        // added beside it have nothing to compare against.
+        let old = report(&[("train_step_pi", 100.0)]);
+        let new = report(&[("train_step_pi", 100.0), ("train_step_2in", 1e9)]);
+        assert_eq!(compare(&old, &new), 0);
+    }
+
+    #[test]
+    fn baseline_without_results_is_an_input_error() {
+        let old = json!({ "schema": "halk-bench-hotpath/v8" });
+        assert_eq!(compare(&old, &report(&[("score_all_up", 1.0)])), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! The request engine: everything loaded once and shared by all workers.
+//! The request engine: everything loaded once and shared by every session.
 //!
 //! A daemon's whole point is amortization — the KG, the model, the plan
 //! cache and the shard-local entity trig tables are built at startup and
@@ -9,16 +9,16 @@
 //! Requests are answered in two steps. [`Engine::prepare`] runs in the
 //! *session* thread: parse, validate, and resolve the cached
 //! `Arc<PlanShape>` — malformed queries bounce with a typed error before
-//! ever touching the worker queue, and the shape pointer becomes the
+//! ever touching the execution queue, and the shape pointer becomes the
 //! skeleton-batching key. [`Engine::execute_prepared`] (or
-//! [`Engine::execute_batch`] for a same-skeleton group) runs in a worker
-//! under `catch_unwind`, so whatever a hostile query manages to trip stays
-//! inside one request. With [`Engine::test_faults`] enabled (the load
-//! generator's fault drill; never in normal operation) two magic query
-//! strings exercise the isolation machinery end-to-end: `__panic__`
-//! panics, `__sleep__:<ms>` stalls while honoring the deadline — both are
-//! deferred to the worker so the panic lands inside the isolation
-//! boundary, not in the session loop.
+//! [`Engine::execute_batch`] for a same-skeleton group) runs on the thread
+//! holding an execution permit, under `catch_unwind`, so whatever a
+//! hostile query manages to trip stays inside one request. With
+//! [`Engine::test_faults`] enabled (the load generator's fault drill; never
+//! in normal operation) two magic query strings exercise the isolation
+//! machinery end-to-end: `__panic__` panics, `__sleep__:<ms>` stalls while
+//! honoring the deadline — both are deferred to the executing thread so
+//! the panic lands inside the isolation boundary, not in the session loop.
 //!
 //! The `halk` engine scores through the arc-sharded path: per-shard
 //! streaming bounded top-k heaps merged by rank (`halk_core::shard`),
@@ -38,7 +38,7 @@ use halk_logic::Query;
 use halk_obs::Deadline;
 use std::sync::Arc;
 
-/// Immutable serving state, shared across worker threads.
+/// Immutable serving state, shared across session threads.
 ///
 /// All the batching machinery — the skeleton-keyed plan cache, the
 /// resident shard-local trig tables, the group-size cap — lives in the
@@ -61,7 +61,7 @@ pub struct Engine {
 }
 
 /// A session-side compiled request: parsed, validated, and keyed by its
-/// cached plan shape so workers can group same-skeleton jobs.
+/// cached plan shape so permit holders can group same-skeleton jobs.
 pub struct PreparedAsk {
     kind: PreparedKind,
 }
@@ -73,7 +73,7 @@ enum PreparedKind {
         shape: Arc<PlanShape>,
     },
     /// A `__panic__` / `__sleep__:<ms>` fault probe, deferred to the
-    /// worker so it fires inside the catch_unwind boundary.
+    /// executing thread so it fires inside the catch_unwind boundary.
     Fault(String),
 }
 
@@ -102,7 +102,7 @@ pub struct BatchItem<'a> {
     /// tests) — those are omitted from `req=` trace details.
     pub req: u64,
     /// Microseconds the request waited in the daemon queue before a
-    /// worker picked it up (0 off the daemon path).
+    /// permit holder ran it (0 off the daemon path).
     pub queue_wait_us: u64,
 }
 
@@ -151,7 +151,7 @@ fn req_list(items: &[BatchItem]) -> Option<String> {
 /// engine discriminant as the lane (exact and halk requests for the same
 /// skeleton never share a kernel), and reduces each group to protocol
 /// responses. Fault probes are keyless, so the executor runs them alone —
-/// inside the worker's `catch_unwind`, where their panics belong.
+/// inside the permit holder's `catch_unwind`, where their panics belong.
 struct ServeBackend<'a> {
     engine: &'a Engine,
 }
@@ -313,14 +313,14 @@ impl Engine {
     }
 
     /// Overrides the batch-drain cap: the most same-skeleton jobs one
-    /// worker groups into a single kernel pass (`halk serve --batch-cap`;
+    /// permit holder groups into a single kernel pass (`halk serve --batch-cap`;
     /// defaults to [`DEFAULT_BATCH_CAP`]).
     pub fn batch_cap(mut self, cap: usize) -> Engine {
         self.exec.set_batch_cap(cap.max(1));
         self
     }
 
-    /// The batch-drain cap the workers group up to.
+    /// The batch-drain cap permit holders group up to.
     pub fn max_batch(&self) -> usize {
         self.exec.batch_cap()
     }
@@ -416,7 +416,7 @@ impl Engine {
 
     /// Session-side compilation: parse and validate the SPARQL and resolve
     /// the cached plan shape. A malformed query is rejected here — before
-    /// admission, queueing, or a worker — as `Err(typed response)`.
+    /// admission, queueing, or execution — as `Err(typed response)`.
     pub fn prepare(&self, engine: AskEngine, sparql: &str) -> Result<PreparedAsk, Response> {
         if self.test_faults && (sparql == "__panic__" || sparql.starts_with("__sleep__:")) {
             return Ok(PreparedAsk {
@@ -473,7 +473,7 @@ impl Engine {
     /// shape pointer + engine lane, partitioned into same-key kernels
     /// (capped at [`Engine::max_batch`]), and the responses scatter back
     /// to submission order. Response `i` is bit-identical to
-    /// `execute_prepared(items[i], ...)` run alone; the worker's drain
+    /// `execute_prepared(items[i], ...)` run alone; the permit holder's drain
     /// usually hands over an already-homogeneous group, in which case this
     /// is one kernel pass.
     pub fn execute_batch<'a>(&'a self, items: &[BatchItem<'a>]) -> Vec<Response> {
@@ -578,7 +578,7 @@ impl Engine {
         let ks: Vec<usize> = items.iter().map(|it| it.top).collect();
         let deadlines: Vec<&Deadline> = items.iter().map(|it| it.deadline).collect();
         let n = sharded.n_entities();
-        // The req tag extends the hop chain into the per-shard workers;
+        // The req tag extends the hop chain into the per-shard pool threads;
         // built only when tracing is on.
         let tag = if halk_obs::trace::enabled() {
             req_list(items).map(|reqs| format!("req={reqs}"))
@@ -650,7 +650,7 @@ impl Engine {
         }
     }
 
-    /// Runs a deferred fault probe in the worker.
+    /// Runs a deferred fault probe on the executing thread.
     fn run_fault(&self, sparql: &str, deadline: &Deadline) -> Response {
         if sparql == "__panic__" {
             panic!("injected test fault");
@@ -661,7 +661,7 @@ impl Engine {
         }
     }
 
-    /// `__sleep__:<ms>`: hold a worker busy while staying
+    /// `__sleep__:<ms>`: hold an execution permit while staying
     /// deadline-honest, in 5 ms slices like a real long computation.
     fn fault_sleep(&self, ms: &str, deadline: &Deadline) -> Response {
         let Ok(ms) = ms.parse::<u64>() else {
@@ -857,7 +857,7 @@ mod tests {
     #[test]
     fn sleeper_probe_crosses_the_slow_threshold() {
         // The `__sleep__:<ms>` fault probe is the induced slow query: it
-        // holds a worker for 20 ms, well past a 5 ms threshold, and the
+        // holds a permit for 20 ms, well past a 5 ms threshold, and the
         // keyless (fault-lane) group still goes through the slow-query
         // accounting.
         let e = toy_engine(true).slow_ms(Some(5));

@@ -13,10 +13,16 @@ echo "==> cargo build --release --workspace"
 # package, silently leaving e.g. the halk-cli binary stale.
 cargo build --release --workspace
 
+# Scratch space for every artifact below; removed on exit.
+OBS_TMP=$(mktemp -d)
+trap 'rm -rf "$OBS_TMP"' EXIT
+ROOT=$PWD
+
 # The test suite and bench smoke pass run twice: once strictly sequential
 # and once on a 4-worker pool. Determinism makes both runs assert the same
 # values (DESIGN.md §9); the second run exists to exercise the parallel
 # code paths under every existing test.
+metrics_sum=$(cksum < results/bench_hotpath_metrics.json)
 for threads in 1 4; do
     echo "==> HALK_THREADS=$threads cargo test -q"
     HALK_THREADS=$threads cargo test -q
@@ -27,9 +33,18 @@ for threads in 1 4; do
     echo "==> HALK_THREADS=$threads bench_hotpath --smoke"
     # Seconds-scale sanity pass over the hot-path harness (DESIGN.md §8);
     # the committed BENCH_hotpath.json baseline is only regenerated by
-    # scripts/bench.sh, never here.
-    HALK_THREADS=$threads cargo run --release -q -p halk-bench --bin bench_hotpath -- --smoke
+    # scripts/bench.sh, never here. Every operator family must report its
+    # optimizer step.
+    smoke_json="$OBS_TMP/hotpath_smoke_$threads.json"
+    HALK_THREADS=$threads cargo run --release -q -p halk-bench --bin bench_hotpath -- \
+        --smoke --out "$smoke_json"
+    for s in pi 1p 3p 3i 3d 2in; do
+        grep -q "\"train_step_$s\"" "$smoke_json"
+    done
 done
+# --smoke writes no metrics snapshot unless asked: the committed full-run
+# snapshot under results/ must come out of the loop untouched.
+test "$(cksum < results/bench_hotpath_metrics.json)" = "$metrics_sum"
 
 echo "==> observability smoke (traced train/eval + trace_check)"
 # An instrumented end-to-end pass: train via the CLI and run the Table I/II
@@ -37,9 +52,6 @@ echo "==> observability smoke (traced train/eval + trace_check)"
 # snapshots on; then validate every artifact with trace_check. The coverage
 # flag asserts the eval phase spans account for >=95% of each structure's
 # wall time (the "phase timings sum to wall" acceptance check).
-OBS_TMP=$(mktemp -d)
-trap 'rm -rf "$OBS_TMP"' EXIT
-ROOT=$PWD
 # Run from $OBS_TMP so results/ (tables, manifests) lands there, not on the
 # committed results/ of the repository.
 (
