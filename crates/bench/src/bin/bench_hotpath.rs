@@ -20,8 +20,9 @@
 //! - serving scale (8000 entities, ns per query over a group of 8
 //!   same-skeleton requests): `score_all_8000` (full vector + argsort per
 //!   request), `topk_sharded_8000` (batched embed + arc-sharded streaming
-//!   top-k), `executor_group_8000` (the same group through the batch
-//!   executor), `score_all_8000_{f32,i16}` (trig table at each precision);
+//!   top-k), `executor_group_8000` (the same group as prepared halk asks
+//!   through serve's group path, `Engine::execute_batch`),
+//!   `score_all_8000_{f32,i16}` (trig table at each precision);
 //! - cold start at 8000 entities / 50k triples: `tsv_boot_8000` against
 //!   `snapshot_boot_8000`.
 //!
@@ -41,13 +42,14 @@
 //! more than 15%, naming each regressed entry with its slowdown percentage.
 
 use halk_core::{
-    evaluate_structure_pool, top_k_indices, ArcShards, ExecBackend, ExecConfig, Executor,
-    HalkConfig, HalkModel, Pool, Precision, QueryModel, ShapeKey, ShardedTrig, TrainExample,
+    evaluate_structure_pool, top_k_indices, ArcShards, HalkConfig, HalkModel, Pool, Precision,
+    QueryModel, ShardedTrig, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::plan::{PlanBindings, PlanShape};
-use halk_logic::{answers, Sampler, Structure};
+use halk_logic::{answers, Query, Sampler, Structure};
 use halk_obs::Deadline;
+use halk_serve::{AskEngine, BatchItem, Engine, PreparedAsk, Response};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
@@ -405,7 +407,7 @@ fn main() {
     let ks8 = [10usize; 8];
     let deadlines8 = [&never; 8];
     let ns_sharded8 = median_ns(samples, iters, || {
-        let refs: Vec<&halk_logic::Query> = group8.iter().collect();
+        let refs: Vec<&Query> = group8.iter().collect();
         let scorers = model8.scorers_for_shape(&shape8, &refs);
         black_box(halk_core::sharded_top_k_timed(
             &pool1,
@@ -430,52 +432,62 @@ fn main() {
     );
     let sharded_speedup = ns_full8 / ns_sharded8;
 
-    // --- the skeleton-keyed batch executor: the same 8-query
-    // group pushed through `Executor::submit` with a serve-style backend.
-    // Keying, group formation, obs accounting, and the scatter back to
-    // submission order all ride on top of the batched embed + sharded
+    // --- the serve group path: the same 8 queries as halk asks, prepared
+    // from SPARQL and answered through `Engine::execute_batch` on an
+    // 8-shard engine, its pool pinned to one thread for the timing.
+    // Grouping, the executor's group accounting, the slow-query check and
+    // the protocol replies all ride on top of the batched embed + sharded
     // sweep `topk_sharded_8000` times in isolation, so the pair prices the
-    // executor's envelope — the derived overhead ratio must stay ~1.0.
-    struct BenchServe<'a> {
-        model: &'a HalkModel,
-    }
-    impl ExecBackend for BenchServe<'_> {
-        type Job = halk_logic::Query;
-        type Out = Vec<u32>;
-        fn key_of(&self, exec: &Executor, job: &Self::Job) -> Option<ShapeKey> {
-            Some(ShapeKey::new(exec.shape_for(job)))
-        }
-        fn exec_group(
-            &self,
-            exec: &Executor,
-            key: Option<&ShapeKey>,
-            jobs: &[&Self::Job],
-        ) -> Vec<Vec<u32>> {
-            let shape = key.expect("bench jobs carry shapes").shape();
-            let sharded = exec.sharded_trig(self.model);
-            let refs: Vec<&halk_logic::Query> = jobs.to_vec();
-            let scorers = exec.scorers_for_group(self.model, shape, &refs);
-            let never = Deadline::never();
-            let ks = vec![10usize; jobs.len()];
-            let deadlines: Vec<&Deadline> = jobs.iter().map(|_| &never).collect();
-            halk_core::sharded_top_k_timed(&exec.pool(), &sharded, &scorers, &ks, &deadlines, None)
-                .0
-                .into_iter()
-                .map(|(hits, _)| hits.into_iter().map(|(e, _)| e).collect())
-                .collect()
-        }
-    }
-    let exec8 = Executor::new(ExecConfig {
-        threads: 1,
-        shards: 8,
-        label: "model_batch",
-        ..ExecConfig::default()
-    });
-    let _ = exec8.sharded_trig(&model8); // warm the resident tables, like a serve boot
-    let backend8 = BenchServe { model: &model8 };
+    // serve group envelope — the derived overhead ratio must stay ~1.0.
+    let engine8 = Engine::with_options(
+        g8.clone(),
+        Some(HalkModel::new(&g8, cfg.clone())),
+        Some(8),
+        Precision::F32,
+    );
+    let asks8: Vec<PreparedAsk> = group8
+        .iter()
+        .map(|q| {
+            let Query::Projection { rel: r2, input } = q else {
+                unreachable!("p2 ends in a projection")
+            };
+            let Query::Projection { rel: r1, input } = input.as_ref() else {
+                unreachable!("p2 is a two-hop chain")
+            };
+            let Query::Anchor(e) = input.as_ref() else {
+                unreachable!("p2 starts at an anchor")
+            };
+            let sparql = format!(
+                "SELECT ?x WHERE {{ e:{} r:{} ?y . ?y r:{} ?x . }}",
+                e.0, r1.0, r2.0
+            );
+            engine8
+                .prepare(AskEngine::Halk, &sparql)
+                .expect("p2 ask prepares")
+        })
+        .collect();
+    let items8: Vec<BatchItem> = asks8
+        .iter()
+        .map(|prepared| BatchItem {
+            prepared,
+            top: 10,
+            deadline: &never,
+            req: 0,
+            queue_wait_us: 0,
+        })
+        .collect();
+    let replies8 = engine8.execute_batch(&items8);
+    assert!(
+        replies8
+            .iter()
+            .all(|r| matches!(r, Response::Scores { .. })),
+        "every ask is answered with scores"
+    );
+    halk_par::set_threads(1);
     let ns_exec8 = median_ns(samples, iters, || {
-        black_box(exec8.submit(&backend8, &group8));
+        black_box(engine8.execute_batch(&items8));
     }) / group8.len() as f64;
+    halk_par::set_threads(0);
     record(
         "executor_group_8000",
         ns_exec8,
@@ -606,7 +618,7 @@ fn main() {
         assert_eq!(gs.triples(), gt.triples(), "snapshot graph drifted");
         let probe = {
             let t = boot_g.triples()[0];
-            halk_logic::Query::atom(t.h, t.r)
+            Query::atom(t.h, t.r)
         };
         assert_eq!(
             ms.score_all(&probe),
@@ -624,7 +636,7 @@ fn main() {
     let speedup_p2 = ns_scalar_p2 / ns_vec_p2;
     println!("score_all speedup vs scalar: up {speedup:.2}x, p2 {speedup_p2:.2}x");
     println!("topk_sharded_8000 vs score_all_8000: {sharded_speedup:.2}x");
-    println!("executor_group_8000 vs topk_sharded_8000: {executor_overhead:.2}x envelope");
+    println!("executor_group_8000 vs topk_sharded_8000: {executor_overhead:.2}x serve envelope");
     println!("score_all_8000 f32 vs i16: {quantized_ratio:.2}x");
     println!("snapshot_boot_8000 vs tsv_boot_8000: {boot_speedup:.2}x");
     println!(

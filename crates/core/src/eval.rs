@@ -6,15 +6,14 @@
 //! are filtered out of every ranking. Metrics are averaged per structure, as
 //! in Tables I–IV.
 
-use crate::exec::{ExecBackend, ExecConfig, Executor, ShapeKey};
-use crate::qmodel::{QueryModel, ScoreCache};
+use crate::exec::{ExecConfig, Executor};
+use crate::qmodel::QueryModel;
 use halk_kg::split::DatasetSplit;
 use halk_logic::plan::{split_set, PlanBindings};
 use halk_logic::{filtered_ranks, MetricsAccumulator, RankMetrics, Sampler, Structure};
 use halk_par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Evaluation result for one (model, structure) cell.
@@ -50,57 +49,6 @@ pub fn evaluate_structure<M: QueryModel + Sync + ?Sized>(
     seed: u64,
 ) -> EvalCell {
     evaluate_structure_pool(model, split, structure, n_queries, seed, Pool::auto())
-}
-
-/// The evaluation surface of the batch executor (DESIGN.md §15): a chunk
-/// of speculative candidates is one job list (same structure ⇒ one
-/// skeleton group), the group kernel answer-splits and scores queries in
-/// parallel on the executor's pool, and the reduce hook's outputs come
-/// back in attempt order so the caller's sequential rank folds see exactly
-/// the sequential stream.
-struct EvalBackend<'a, M: QueryModel + Sync + ?Sized> {
-    model: &'a M,
-    split: &'a DatasetSplit,
-    /// Executor-provisioned scoring cache (shared across structures).
-    cache: Option<Arc<ScoreCache>>,
-}
-
-impl<M: QueryModel + Sync + ?Sized> ExecBackend for EvalBackend<'_, M> {
-    type Job = halk_logic::Query;
-    type Out = Option<(Vec<usize>, Duration)>;
-
-    fn key_of(&self, exec: &Executor, job: &Self::Job) -> Option<ShapeKey> {
-        Some(ShapeKey::new(exec.shape_for(job)))
-    }
-
-    fn exec_group(
-        &self,
-        exec: &Executor,
-        key: Option<&ShapeKey>,
-        jobs: &[&Self::Job],
-    ) -> Vec<Self::Out> {
-        let shape = key.expect("eval jobs always carry a shape").shape();
-        // Queries vary wildly in answer-set size, so use the dynamic
-        // splitter; it returns results in attempt order regardless.
-        exec.pool().par_map_dyn(jobs, |query| {
-            let ans = split_set(
-                shape,
-                &PlanBindings::of(query),
-                &self.split.valid,
-                &self.split.test,
-            );
-            if ans.hard.is_empty() {
-                return None;
-            }
-            let t0 = std::time::Instant::now();
-            let scores = match &self.cache {
-                Some(c) => self.model.score_all_cached(query, c),
-                None => self.model.score_all(query),
-            };
-            let elapsed = t0.elapsed();
-            Some((filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed))
-        })
-    }
 }
 
 /// [`evaluate_structure`] on an explicit pool. Bit-identical metrics at any
@@ -154,11 +102,7 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
     // compiled plan per structure skeleton via the executor's plan cache.
     let mut rng = StdRng::seed_from_u64(seed);
     let sampler = Sampler::new(&split.test);
-    let backend = EvalBackend {
-        model,
-        split,
-        cache: exec.score_cache(model),
-    };
+    let cache = exec.score_cache(model);
     let mut acc = MetricsAccumulator::new();
     let mut online = Duration::ZERO;
     let mut evaluated = 0usize;
@@ -180,11 +124,32 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         halk_obs::histogram!("halk_eval_sample_us")
             .record(sample_start.elapsed().as_micros() as u64);
 
-        // One executor submission per chunk: same structure ⇒ one skeleton
-        // group, scored in parallel inside the group kernel.
+        // One group per chunk (same structure ⇒ one skeleton): shapes are
+        // resolved sequentially, so plan-cache lookups stay deterministic,
+        // then answer-splitting and scoring fan out on the executor's pool.
+        // Queries vary wildly in answer-set size, so use the dynamic
+        // splitter; it returns results in attempt order regardless.
         phase = phase.next("eval_score");
         let score_start = std::time::Instant::now();
-        let scored = exec.submit(&backend, &candidates);
+        let jobs: Vec<_> = candidates.iter().map(|q| (q, exec.shape_for(q))).collect();
+        let scored = if jobs.is_empty() {
+            Vec::new()
+        } else {
+            let _group = exec.group_span(jobs.len(), || None);
+            exec.pool().par_map_dyn(&jobs, |(query, shape)| {
+                let ans = split_set(shape, &PlanBindings::of(query), &split.valid, &split.test);
+                if ans.hard.is_empty() {
+                    return None;
+                }
+                let t0 = std::time::Instant::now();
+                let scores = match &cache {
+                    Some(c) => model.score_all_cached(query, c),
+                    None => model.score_all(query),
+                };
+                let elapsed = t0.elapsed();
+                Some((filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed))
+            })
+        };
         halk_obs::histogram!("halk_eval_score_us").record(score_start.elapsed().as_micros() as u64);
 
         phase = phase.next("eval_rank");
@@ -200,8 +165,8 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         halk_obs::histogram!("halk_eval_rank_us").record(rank_start.elapsed().as_micros() as u64);
     }
 
-    // The tail — counters, the cell, and freeing the sampler's and the
-    // backend's tables — is the last phase.
+    // The tail — counters, the cell, and freeing the sampler's tables and
+    // the scoring cache handle — is the last phase.
     let _finish = phase.next("eval_finish");
     halk_obs::counter!("halk_eval_attempts_total").add(attempts as u64);
     halk_obs::counter!("halk_eval_queries_total").add(evaluated as u64);
@@ -220,7 +185,7 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         online_time: online,
         truncated,
     };
-    drop(backend);
+    drop(cache);
     drop(sampler);
     cell
 }

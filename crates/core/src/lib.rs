@@ -50,7 +50,7 @@ pub use eval::{
     evaluate_structure, evaluate_structure_exec, evaluate_structure_pool, evaluate_table,
     evaluate_table_pool, EvalCell,
 };
-pub use exec::{ExecBackend, ExecConfig, Executor, ShapeKey, DEFAULT_BATCH_CAP};
+pub use exec::{ExecConfig, Executor, DEFAULT_BATCH_CAP};
 pub use halk_par::Pool;
 pub use lsh::EntityLsh;
 pub use model::HalkModel;

@@ -7,13 +7,12 @@
 //! identically, so timing comparisons are apples-to-apples.
 
 use crate::config::HalkConfig;
-use crate::exec::{ExecBackend, Executor, ShapeKey};
 use crate::model::HalkModel;
 use halk_kg::EntityId;
 use halk_logic::plan::{PlanBindings, PlanMasks, PlanShape};
 use halk_logic::{Query, Structure};
 use halk_nn::{GradBuffer, ParamStore, Tape, Var};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One training example: a grounded query, one positive answer and `m`
 /// negative entities (the negative-sampling trick of §III-G).
@@ -95,77 +94,6 @@ fn shard_forward(
         Some(&neg_pens),
         cfg.gamma,
     )
-}
-
-/// The training surface of the batch executor (DESIGN.md §15): the whole
-/// batch is one skeleton group (same-structure by protocol, asserted in
-/// [`HalkModel::train_batch`] with the usual `Arc::ptr_eq` guard), and the
-/// reduce hook stages gradients — it splits the group into the fixed
-/// 8-example shards, runs each shard's forward/backward on its persistent
-/// tape via the executor's pool, and parks the per-shard losses and staged
-/// [`GradBuffer`]s for the caller's fixed-order fold. Nothing here depends
-/// on thread count, which is what keeps training bit-reproducible
-/// (DESIGN.md §9).
-struct TrainBackend<'a> {
-    model: &'a HalkModel,
-    batch: &'a [TrainExample],
-    shape: Arc<PlanShape>,
-    bindings: &'a [PlanBindings],
-    masks: &'a [PlanMasks],
-    m: usize,
-    cfg: &'a HalkConfig,
-    n_shards: usize,
-    /// The model's persistent `(Tape, GradBuffer)` shard state, taken out
-    /// of the model for the duration of the step (forward passes borrow
-    /// the model immutably) and reclaimed by the caller afterwards.
-    shards: Mutex<Vec<(Tape, GradBuffer)>>,
-    /// Per-shard scaled losses, in shard order.
-    shard_losses: Mutex<Vec<f32>>,
-}
-
-impl ExecBackend for TrainBackend<'_> {
-    type Job = usize;
-    type Out = ();
-
-    fn key_of(&self, _exec: &Executor, _job: &usize) -> Option<ShapeKey> {
-        Some(ShapeKey::new(self.shape.clone()))
-    }
-
-    fn exec_group(&self, exec: &Executor, _key: Option<&ShapeKey>, jobs: &[&usize]) -> Vec<()> {
-        let b = self.batch.len();
-        debug_assert_eq!(jobs.len(), b, "one training group spans the whole batch");
-        let mut shards = self.shards.lock().expect("train shards");
-        let model = self.model;
-        // Shard boundaries depend only on the batch size, never on the
-        // thread count, and every shard stages gradients in its own
-        // buffer, so any parallelism yields bit-identical results.
-        let losses = exec
-            .pool()
-            .par_map_mut(&mut shards[..self.n_shards], |si, shard| {
-                let (tape, buf) = shard;
-                let lo = si * TRAIN_SHARD_SIZE;
-                let hi = (lo + TRAIN_SHARD_SIZE).min(b);
-                tape.reset();
-                buf.reset_for(&model.store);
-                let loss = shard_forward(
-                    model,
-                    tape,
-                    &self.batch[lo..hi],
-                    &self.shape,
-                    &self.bindings[lo..hi],
-                    &self.masks[lo..hi],
-                    self.m,
-                    self.cfg,
-                );
-                // Weight the shard's mean by its share of the batch so the
-                // shard-summed loss and gradients form one batch-wide mean.
-                let scaled = tape.scale(loss, (hi - lo) as f32 / b as f32);
-                tape.backward_into(scaled, buf);
-                tape.value(scaled).item()
-            });
-        *self.shard_losses.lock().expect("train losses") = losses;
-        vec![(); jobs.len()]
-    }
 }
 
 /// Opaque per-table-state scoring cache (see [`QueryModel::score_cache`]).
@@ -268,26 +196,39 @@ impl QueryModel for HalkModel {
             shards.push((Tape::new(), GradBuffer::new()));
         }
 
-        // Submit the batch through the model's executor as one skeleton
-        // group; the backend's reduce hook fans the group into fixed
-        // shards and stages per-shard gradients (see [`TrainBackend`]).
+        // The whole batch is one skeleton group on the model's executor:
+        // it fans out into the fixed 8-example shards, each running its
+        // forward/backward on its persistent tape and staging gradients in
+        // its own buffer for the fixed-order fold below. Shard boundaries
+        // depend only on the batch size, never on the thread count, so any
+        // parallelism yields bit-identical results (DESIGN.md §9).
         let this: &HalkModel = self;
-        let backend = TrainBackend {
-            model: this,
-            batch,
-            shape,
-            bindings: &bindings,
-            masks: &masks,
-            m,
-            cfg: &cfg,
-            n_shards,
-            shards: Mutex::new(shards),
-            shard_losses: Mutex::new(Vec::new()),
-        };
-        let jobs: Vec<usize> = (0..b).collect();
-        let _ = this.executor().submit(&backend, &jobs);
-        let shards = backend.shards.into_inner().expect("train shards");
-        let losses = backend.shard_losses.into_inner().expect("train losses");
+        let exec = this.executor();
+        let group = exec.group_span(b, || None);
+        let losses = exec
+            .pool()
+            .par_map_mut(&mut shards[..n_shards], |si, (tape, buf)| {
+                let lo = si * TRAIN_SHARD_SIZE;
+                let hi = (lo + TRAIN_SHARD_SIZE).min(b);
+                tape.reset();
+                buf.reset_for(&this.store);
+                let loss = shard_forward(
+                    this,
+                    tape,
+                    &batch[lo..hi],
+                    &shape,
+                    &bindings[lo..hi],
+                    &masks[lo..hi],
+                    m,
+                    &cfg,
+                );
+                // Weight the shard's mean by its share of the batch so the
+                // shard-summed loss and gradients form one batch-wide mean.
+                let scaled = tape.scale(loss, (hi - lo) as f32 / b as f32);
+                tape.backward_into(scaled, buf);
+                tape.value(scaled).item()
+            });
+        drop(group);
 
         // Fixed-order reduction: shard gradients and losses combine in
         // shard order regardless of which worker produced them.

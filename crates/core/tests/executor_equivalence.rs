@@ -1,6 +1,6 @@
 //! Cross-surface bit-identity suite for the skeleton-keyed batch executor
-//! (PR 9, DESIGN.md §15): routing train, eval, and the serve-style group
-//! reduce through [`Executor::submit`] must change *nothing observable* —
+//! (DESIGN.md §15): running train, eval, and the serve-style group kernel
+//! on one shared [`Executor`] must change *nothing observable* —
 //! train losses and parameters, eval metrics, and served top-k answers are
 //! pinned against hand-rolled pre-refactor reference loops, across thread
 //! counts and shard counts.
@@ -11,8 +11,7 @@
 
 use halk_core::{
     evaluate_structure_exec, evaluate_structure_pool, sharded_top_k_timed, top_k_indices, EvalCell,
-    ExecBackend, ExecConfig, Executor, HalkConfig, HalkModel, Pool, QueryModel, ShapeKey,
-    TrainExample,
+    ExecConfig, Executor, HalkConfig, HalkModel, Pool, QueryModel, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::plan::{split_set, PlanBindings, PlanShape};
@@ -21,7 +20,7 @@ use halk_nn::checkpoint;
 use halk_obs::Deadline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -74,9 +73,9 @@ fn train_run(g: &Graph, threads: usize) -> (Vec<u32>, Vec<u8>) {
     (losses, checkpoint::to_bytes(&model.store))
 }
 
-/// Training now stages gradients through `Executor::submit` (one
-/// homogeneous group per batch); losses and final parameters must stay
-/// bit-identical at every thread count, exactly as before the refactor.
+/// Training stages gradients as one homogeneous group per batch on the
+/// model's executor pool; losses and final parameters must stay
+/// bit-identical at every thread count.
 #[test]
 fn train_through_executor_is_bit_identical_across_threads() {
     let g = graph();
@@ -175,40 +174,34 @@ fn eval_through_executor_matches_handrolled_sequential_reference() {
 
 // ---------------------------------------------------------- serve-style
 
-/// The serve surface in miniature: group jobs by skeleton, one batched
-/// tape embed per group, one sharded streaming sweep for the whole group.
-struct TopKBackend<'a> {
-    model: &'a HalkModel,
-    k: usize,
-}
-
-impl ExecBackend for TopKBackend<'_> {
-    type Job = Query;
-    type Out = Vec<u32>;
-
-    fn key_of(&self, exec: &Executor, job: &Query) -> Option<ShapeKey> {
-        Some(ShapeKey::new(exec.shape_for(job)))
+/// The serve surface in miniature: group queries by their cached shape
+/// pointer, then run each group's kernel directly — one batched tape embed
+/// and one sharded streaming sweep for the whole group — and scatter the
+/// answers back to submission order.
+fn grouped_top_k(exec: &Executor, model: &HalkModel, jobs: &[Query], k: usize) -> Vec<Vec<u32>> {
+    let mut groups: Vec<(Arc<PlanShape>, Vec<usize>)> = Vec::new();
+    for (i, q) in jobs.iter().enumerate() {
+        let shape = exec.shape_for(q);
+        match groups.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &shape)) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((shape, vec![i])),
+        }
     }
-
-    fn exec_group(
-        &self,
-        exec: &Executor,
-        key: Option<&ShapeKey>,
-        jobs: &[&Query],
-    ) -> Vec<Vec<u32>> {
-        let shape = key.expect("queries always carry a shape").shape();
-        let sharded = exec.sharded_trig(self.model);
-        let queries: Vec<&Query> = jobs.to_vec();
-        let scorers = exec.scorers_for_group(self.model, shape, &queries);
-        let ks = vec![self.k; jobs.len()];
-        let never = Deadline::never();
-        let deadlines: Vec<&Deadline> = jobs.iter().map(|_| &never).collect();
-        sharded_top_k_timed(&exec.pool(), &sharded, &scorers, &ks, &deadlines, None)
-            .0
-            .into_iter()
-            .map(|(hits, _)| hits.into_iter().map(|(e, _)| e).collect())
-            .collect()
+    let sharded = exec.sharded_trig(model);
+    let never = Deadline::never();
+    let mut out = vec![Vec::new(); jobs.len()];
+    for (shape, idxs) in groups {
+        let queries: Vec<&Query> = idxs.iter().map(|&i| &jobs[i]).collect();
+        let scorers = exec.scorers_for_group(model, &shape, &queries);
+        let ks = vec![k; idxs.len()];
+        let deadlines = vec![&never; idxs.len()];
+        let (hits, _) =
+            sharded_top_k_timed(&exec.pool(), &sharded, &scorers, &ks, &deadlines, None);
+        for (i, (h, _)) in idxs.into_iter().zip(hits) {
+            out[i] = h.into_iter().map(|(e, _)| e).collect();
+        }
     }
+    out
 }
 
 /// Mixed-structure submissions must come back in submission order, each
@@ -221,7 +214,7 @@ fn serve_style_group_submit_matches_per_query_reference() {
     let model = HalkModel::new(&g, HalkConfig::tiny());
     let sampler = Sampler::new(&g);
     let mut rng = StdRng::seed_from_u64(80);
-    // Interleave two skeletons so submit must group and re-scatter.
+    // Interleave two skeletons so the groups must re-scatter.
     let p2: Vec<Query> = sampler
         .sample_many(Structure::P2, 3, &mut rng)
         .into_iter()
@@ -250,11 +243,10 @@ fn serve_style_group_submit_matches_per_query_reference() {
                 shards,
                 ..ExecConfig::default()
             });
-            let backend = TopKBackend { model: &model, k };
-            let got = exec.submit(&backend, &jobs);
+            let got = grouped_top_k(&exec, &model, &jobs, k);
             assert_eq!(
                 got, reference,
-                "group submit diverged at {shards} shards, {threads} threads"
+                "grouped top-k diverged at {shards} shards, {threads} threads"
             );
         }
     }

@@ -37,12 +37,12 @@
 //! thread count, wall/phase timings and final metrics, written as
 //! `results/<run>/manifest.json` (see DESIGN.md §11 for the schema).
 //!
-//! The batch executor (`halk_core::exec`, DESIGN.md §15) is the one choke
-//! point every surface's group lifecycle passes through, so its
-//! instrumentation — the `exec_group` span, `halk_exec_jobs_total` /
-//! `halk_exec_groups_total` / `halk_exec_group_size` and the cache
-//! build/hit counters — covers training, evaluation and serving with a
-//! single set of names.
+//! Every surface's group kernel opens its group through one batch-executor
+//! helper (`halk_core::Executor::group_span`, DESIGN.md §15), and all three
+//! share the executor's cache layer, so its instrumentation — the
+//! `exec_group` span, `halk_exec_jobs_total` / `halk_exec_groups_total` /
+//! `halk_exec_group_size` and the cache build/hit counters — covers
+//! training, evaluation and serving with a single set of names.
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 

@@ -3,10 +3,10 @@
 //! Every parallel stage in the workspace — batch-sharded training, query
 //! fan-out in evaluation, entity-sharded scoring — goes through a [`Pool`],
 //! a value describing how many worker threads a fork-join region may use.
-//! Since PR 9 the surfaces no longer hold pools directly: the batch
-//! executor (`halk_core::exec`, DESIGN.md §15) owns the labeled pool and
-//! hands it to each backend's reduce hook, so this crate stays the single
-//! layer that ever spawns a thread.
+//! The surfaces do not hold pools directly: the batch executor
+//! (`halk_core::exec`, DESIGN.md §15) owns the labeled pool each surface's
+//! group kernel fans out on, so this crate stays the single layer that
+//! ever spawns a thread.
 //! There are no persistent worker threads and no work-stealing deques:
 //! scoped threads are spawned per region (a few microseconds, amortized by
 //! region bodies that run for milliseconds), which keeps the runtime free of

@@ -11,7 +11,7 @@
 //! `Arc<PlanShape>` — malformed queries bounce with a typed error before
 //! ever touching the execution queue, and the shape pointer becomes the
 //! skeleton-batching key. [`Engine::execute_prepared`] (or
-//! [`Engine::execute_batch`] for a same-skeleton group) runs on the thread
+//! [`Engine::execute_batch`] for a group) runs on the thread
 //! holding an execution permit, under `catch_unwind`, so whatever a
 //! hostile query manages to trip stays inside one request. With
 //! [`Engine::test_faults`] enabled (the load generator's fault drill; never
@@ -28,29 +28,30 @@
 use crate::protocol::{AskEngine, ErrorKind, Response};
 use halk_core::shard::sharded_top_k_timed;
 use halk_core::{
-    ArcShards, EntityTrig, ExecBackend, ExecConfig, Executor, HalkModel, Pool, Precision, ShapeKey,
-    ShardedTrig, DEFAULT_BATCH_CAP,
+    ArcShards, EntityTrig, ExecConfig, Executor, HalkModel, Pool, Precision, ShardedTrig,
+    DEFAULT_BATCH_CAP,
 };
 use halk_kg::Graph;
 use halk_logic::plan::PlanShape;
 use halk_logic::plan::{execute_set_batch, PlanBindings};
 use halk_logic::Query;
 use halk_obs::Deadline;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Immutable serving state, shared across session threads.
 ///
-/// All the batching machinery — the skeleton-keyed plan cache, the
-/// resident shard-local trig tables, the group-size cap — lives in the
-/// engine's [`Executor`]; the engine itself keeps only the graph, the
-/// model, and the serve-specific reduce hooks ([`ServeBackend`]'s exact
-/// set execution, sharded top-k sweeps, and fault probes).
+/// The shared machinery — the plan cache, the resident shard-local trig
+/// tables, the pool, the group-size cap — lives in the engine's
+/// [`Executor`]; the engine itself keeps the graph, the model, and the
+/// serve group kernels (exact set execution, sharded top-k sweeps, and
+/// fault probes).
 pub struct Engine {
     graph: Graph,
     model: Option<HalkModel>,
-    /// The skeleton-keyed batch executor: owns the plan cache, the
-    /// resident [`ShardedTrig`] tables (shard count + precision knobs),
-    /// and the batch-drain cap.
+    /// The batch executor: owns the plan cache, the resident
+    /// [`ShardedTrig`] tables (shard count + precision knobs), and the
+    /// batch-drain cap.
     exec: Executor,
     test_faults: bool,
     /// Slow-query threshold in milliseconds: a group whose wall time
@@ -78,15 +79,62 @@ enum PreparedKind {
 }
 
 impl PreparedAsk {
-    /// The skeleton-batching key: same `Arc<PlanShape>` pointer + same
-    /// engine ⇒ the jobs can share one kernel pass. `None` for fault
-    /// probes, which always run alone.
-    pub fn batch_key(&self) -> Option<(&Arc<PlanShape>, AskEngine)> {
-        match &self.kind {
-            PreparedKind::Query { engine, shape, .. } => Some((shape, *engine)),
-            PreparedKind::Fault(_) => None,
+    /// The serve batching rule: two asks share one kernel pass iff both
+    /// are queries with the same cached `Arc<PlanShape>` pointer (the
+    /// homogeneity guard `train_batch` uses; equal but separately compiled
+    /// shapes do not match) for the same engine. Fault probes match
+    /// nothing, so they always run alone.
+    pub(crate) fn same_batch(&self, other: &PreparedAsk) -> bool {
+        match (&self.kind, &other.kind) {
+            (
+                PreparedKind::Query { engine, shape, .. },
+                PreparedKind::Query {
+                    engine: e2,
+                    shape: s2,
+                    ..
+                },
+            ) => engine == e2 && Arc::ptr_eq(shape, s2),
+            _ => false,
         }
     }
+
+    /// The engine lane, for trace details and the slow-query log.
+    fn lane(&self) -> &'static str {
+        match &self.kind {
+            PreparedKind::Fault(_) => "fault",
+            PreparedKind::Query {
+                engine: AskEngine::Exact,
+                ..
+            } => "exact",
+            PreparedKind::Query { .. } => "halk",
+        }
+    }
+}
+
+/// Pops the queue's oldest entry and pulls every queued companion that
+/// [`PreparedAsk::same_batch`]es with it, in queue order, until the group
+/// holds `cap` entries. Entries left behind keep their order. The one
+/// grouping rule of serve: the daemon drains its request queue with it,
+/// and [`Engine::execute_batch`] splits its input with it. `ask` reads an
+/// entry's prepared request.
+pub(crate) fn take_group<T>(
+    queue: &mut VecDeque<T>,
+    cap: usize,
+    ask: impl Fn(&T) -> &PreparedAsk,
+) -> Vec<T> {
+    let Some(first) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let mut group = vec![first];
+    let mut i = 0;
+    while i < queue.len() && group.len() < cap {
+        if ask(&group[0]).same_batch(ask(&queue[i])) {
+            group.push(queue.remove(i).expect("index checked"));
+        } else {
+            i += 1;
+        }
+    }
+    group
 }
 
 /// One member of a same-skeleton batch: a prepared request plus its
@@ -123,15 +171,6 @@ fn slow_ms_from_env() -> Option<u64> {
     std::env::var("HALK_SLOW_MS").ok()?.parse().ok()
 }
 
-/// The engine lane of a group, for trace details and the slow-query log.
-fn lane_name(key: Option<&ShapeKey>) -> &'static str {
-    match key {
-        None => "fault",
-        Some(k) if k.lane() == AskEngine::Exact as u32 => "exact",
-        Some(_) => "halk",
-    }
-}
-
 /// `"1,5,9"` — the nonzero request ids of a group, `None` when the group
 /// has no daemon-minted identity at all.
 fn req_list(items: &[BatchItem]) -> Option<String> {
@@ -144,77 +183,6 @@ fn req_list(items: &[BatchItem]) -> Option<String> {
         None
     } else {
         Some(ids.join(","))
-    }
-}
-
-/// The serve surface of the executor: keys jobs by shape pointer with the
-/// engine discriminant as the lane (exact and halk requests for the same
-/// skeleton never share a kernel), and reduces each group to protocol
-/// responses. Fault probes are keyless, so the executor runs them alone —
-/// inside the permit holder's `catch_unwind`, where their panics belong.
-struct ServeBackend<'a> {
-    engine: &'a Engine,
-}
-
-impl<'a> ExecBackend for ServeBackend<'a> {
-    type Job = BatchItem<'a>;
-    type Out = Response;
-
-    fn key_of(&self, _exec: &Executor, job: &BatchItem<'a>) -> Option<ShapeKey> {
-        job.prepared
-            .batch_key()
-            .map(|(shape, engine)| ShapeKey::with_lane(Arc::clone(shape), engine as u32))
-    }
-
-    fn exec_group(
-        &self,
-        _exec: &Executor,
-        key: Option<&ShapeKey>,
-        jobs: &[&BatchItem<'a>],
-    ) -> Vec<Response> {
-        let items: Vec<BatchItem<'a>> = jobs.iter().map(|&&it| it).collect();
-        let t0 = std::time::Instant::now();
-        let mut phases = PhaseBreakdown::default();
-        let out: Vec<Response> = match key {
-            None => items
-                .iter()
-                .map(|it| match &it.prepared.kind {
-                    PreparedKind::Fault(s) => self.engine.run_fault(s, it.deadline),
-                    PreparedKind::Query { .. } => unreachable!("query jobs always carry a key"),
-                })
-                .collect(),
-            Some(key) => {
-                let (_, engine) = items[0]
-                    .prepared
-                    .batch_key()
-                    .expect("keyed jobs are queries");
-                match engine {
-                    AskEngine::Exact => {
-                        self.engine
-                            .execute_exact_group(key.shape(), &items, &mut phases)
-                    }
-                    AskEngine::Halk => {
-                        self.engine
-                            .execute_halk_group(key.shape(), &items, &mut phases)
-                    }
-                }
-            }
-        };
-        self.engine
-            .note_slow_group(key, &items, t0.elapsed().as_micros() as u64, phases);
-        out
-    }
-
-    /// Tags the group's `exec_group` span with `req=...` ids, the engine
-    /// lane and the batch size, so the JSONL hop chain session → queue →
-    /// executor is greppable by request id (DESIGN.md §16).
-    fn group_detail(&self, key: Option<&ShapeKey>, jobs: &[&BatchItem<'a>]) -> Option<String> {
-        let items: Vec<BatchItem<'a>> = jobs.iter().map(|&&it| it).collect();
-        let lane = lane_name(key);
-        Some(match req_list(&items) {
-            Some(reqs) => format!("req={reqs} lane={lane} batch={}", jobs.len()),
-            None => format!("lane={lane} batch={}", jobs.len()),
-        })
     }
 }
 
@@ -469,15 +437,58 @@ impl Engine {
         .expect("one item in, one response out")
     }
 
-    /// Answers a prepared group through the executor: jobs are keyed by
-    /// shape pointer + engine lane, partitioned into same-key kernels
-    /// (capped at [`Engine::max_batch`]), and the responses scatter back
-    /// to submission order. Response `i` is bit-identical to
-    /// `execute_prepared(items[i], ...)` run alone; the permit holder's drain
-    /// usually hands over an already-homogeneous group, in which case this
-    /// is one kernel pass.
-    pub fn execute_batch<'a>(&'a self, items: &[BatchItem<'a>]) -> Vec<Response> {
-        self.exec.submit(&ServeBackend { engine: self }, items)
+    /// Answers any mix of prepared items, in submission order. The items
+    /// are split into groups with the daemon's own [`take_group`] rule
+    /// (capped at [`Engine::max_batch`]) and each group runs as one kernel
+    /// pass; response `i` is bit-identical to `execute_prepared(items[i],
+    /// ...)` run alone. The permit holder's drain hands over one
+    /// already-homogeneous group, which is one pass.
+    pub fn execute_batch(&self, items: &[BatchItem]) -> Vec<Response> {
+        let mut queue: VecDeque<(usize, BatchItem)> = items.iter().copied().enumerate().collect();
+        let mut out: Vec<Option<Response>> = vec![None; items.len()];
+        while !queue.is_empty() {
+            let (idxs, group): (Vec<usize>, Vec<BatchItem>) =
+                take_group(&mut queue, self.max_batch(), |(_, it)| it.prepared)
+                    .into_iter()
+                    .unzip();
+            for (i, resp) in idxs.into_iter().zip(self.execute_group(&group)) {
+                out[i] = Some(resp);
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("every item lands in one group"))
+            .collect()
+    }
+
+    /// Runs one [`take_group`] group (same shape and engine, or a lone
+    /// fault probe) under the executor's group accounting, and feeds the
+    /// slow-query log. The `exec_group` span carries `req=...` ids, the
+    /// engine lane and the batch size, so the JSONL hop chain session →
+    /// queue → executor is greppable by request id (DESIGN.md §16).
+    fn execute_group(&self, items: &[BatchItem]) -> Vec<Response> {
+        let lead = items[0].prepared;
+        let lane = lead.lane();
+        let batch = items.len();
+        let _span = self.exec.group_span(batch, || {
+            Some(match req_list(items) {
+                Some(reqs) => format!("req={reqs} lane={lane} batch={batch}"),
+                None => format!("lane={lane} batch={batch}"),
+            })
+        });
+        let t0 = std::time::Instant::now();
+        let mut phases = PhaseBreakdown::default();
+        let (out, shape) = match &lead.kind {
+            PreparedKind::Fault(probe) => (vec![self.run_fault(probe, items[0].deadline)], None),
+            PreparedKind::Query { engine, shape, .. } => {
+                let out = match engine {
+                    AskEngine::Exact => self.execute_exact_group(shape, items, &mut phases),
+                    AskEngine::Halk => self.execute_halk_group(shape, items, &mut phases),
+                };
+                (out, Some(shape))
+            }
+        };
+        self.note_slow_group(lane, shape, items, t0.elapsed().as_micros() as u64, phases);
+        out
     }
 
     /// One-shot convenience (tests, CLI parity): prepare + execute.
@@ -613,7 +624,8 @@ impl Engine {
     /// the trace copy is what `trace_check --reqids` validates in CI.
     fn note_slow_group(
         &self,
-        key: Option<&ShapeKey>,
+        lane: &str,
+        shape: Option<&Arc<PlanShape>>,
         items: &[BatchItem],
         wall_us: u64,
         phases: PhaseBreakdown,
@@ -622,18 +634,17 @@ impl Engine {
         if wall_us < slow_ms.saturating_mul(1_000) {
             return;
         }
-        let lane = lane_name(key);
         // Skeleton identity = structural summary + the grouping pointer
         // (same skeleton ⇒ same cached Arc, so the hex tag is stable for
         // the daemon's lifetime).
-        let skeleton = key.map_or_else(
+        let skeleton = shape.map_or_else(
             || "none".to_string(),
-            |k| {
+            |s| {
                 format!(
                     "s{}b{}@{:x}",
-                    k.shape().n_slots(),
-                    k.shape().n_branches(),
-                    Arc::as_ptr(k.shape()) as usize
+                    s.n_slots(),
+                    s.n_branches(),
+                    Arc::as_ptr(s) as usize
                 )
             },
         );
@@ -755,10 +766,157 @@ mod tests {
             .prepare(AskEngine::Exact, "SELECT ?x WHERE { e:1 r:1 ?x . }")
             .unwrap();
         // Same skeleton (one atom) ⇒ same cached shape pointer.
-        let (sa, ea) = a.batch_key().unwrap();
-        let (sb, eb) = b.batch_key().unwrap();
-        assert!(Arc::ptr_eq(sa, sb));
-        assert_eq!(ea, eb);
+        assert!(a.same_batch(&b));
+    }
+
+    const P1A: &str = "SELECT ?x WHERE { e:0 r:0 ?x . }";
+    const P1B: &str = "SELECT ?x WHERE { e:1 r:1 ?x . }";
+    const P2: &str = "SELECT ?x WHERE { e:0 r:0 ?y . ?y r:1 ?x . }";
+
+    /// A queue for [`take_group`]: one `(position, ask)` per
+    /// `(engine, sparql)`, prepared on `e`.
+    fn queue_of(e: &Engine, asks: &[(AskEngine, &str)]) -> VecDeque<(usize, PreparedAsk)> {
+        asks.iter()
+            .enumerate()
+            .map(|(i, &(eng, sparql))| {
+                let p = e.prepare(eng, sparql);
+                (i, p.unwrap_or_else(|_| panic!("{sparql}")))
+            })
+            .collect()
+    }
+
+    /// Positions of the next group taken from `q`.
+    fn take(q: &mut VecDeque<(usize, PreparedAsk)>, cap: usize) -> Vec<usize> {
+        let group = take_group(q, cap, |(_, p)| p);
+        group.into_iter().map(|(i, _)| i).collect()
+    }
+
+    fn left(q: &VecDeque<(usize, PreparedAsk)>) -> Vec<usize> {
+        q.iter().map(|(i, _)| *i).collect()
+    }
+
+    #[test]
+    fn take_group_pulls_same_shape_and_engine_in_queue_order() {
+        // Same 1p skeleton twice more behind the leader, interleaved with
+        // a 2p query, a fault probe and a 1p query for the other engine.
+        let e = toy_engine(true);
+        let mut q = queue_of(
+            &e,
+            &[
+                (AskEngine::Exact, P1A),
+                (AskEngine::Exact, P2),
+                (AskEngine::Exact, P1B),
+                (AskEngine::Exact, "__panic__"),
+                (AskEngine::Halk, P1A),
+                (AskEngine::Exact, P1A),
+            ],
+        );
+        assert_eq!(take(&mut q, 16), [0, 2, 5]);
+        assert_eq!(left(&q), [1, 3, 4], "left-behind asks keep their order");
+        // The engine splits a shared skeleton: the halk 1p ask waits for
+        // its own group.
+        assert_eq!(take(&mut q, 16), [1]);
+        assert_eq!(take(&mut q, 16), [3]);
+        assert_eq!(take(&mut q, 16), [4]);
+    }
+
+    #[test]
+    fn take_group_splits_at_the_cap() {
+        let e = toy_engine(false);
+        let mut q = queue_of(
+            &e,
+            &[
+                (AskEngine::Exact, P1A),
+                (AskEngine::Exact, P1B),
+                (AskEngine::Exact, P2),
+                (AskEngine::Exact, P1A),
+                (AskEngine::Exact, P1B),
+            ],
+        );
+        assert_eq!(take(&mut q, 3), [0, 1, 3]);
+        assert_eq!(left(&q), [2, 4]);
+        // A cap of one is the leader alone.
+        assert_eq!(take(&mut q, 1), [2]);
+        assert_eq!(left(&q), [4]);
+        // Five same-skeleton asks at cap 2: 2 + 2 + 1, in order.
+        let mut q = queue_of(&e, &[(AskEngine::Exact, P1A); 5]);
+        assert_eq!(take(&mut q, 2), [0, 1]);
+        assert_eq!(take(&mut q, 2), [2, 3]);
+        assert_eq!(take(&mut q, 2), [4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn fault_probes_lead_alone_and_an_empty_queue_yields_nothing() {
+        let e = toy_engine(true);
+        let mut q = queue_of(
+            &e,
+            &[
+                (AskEngine::Exact, "__sleep__:1"),
+                (AskEngine::Exact, "__sleep__:1"),
+                (AskEngine::Exact, P1A),
+            ],
+        );
+        assert_eq!(take(&mut q, 16), [0]);
+        assert_eq!(left(&q), [1, 2]);
+        assert_eq!(take(&mut q, 16), [1]);
+        let mut empty = VecDeque::new();
+        assert!(take(&mut empty, 16).is_empty());
+    }
+
+    #[test]
+    fn equal_but_separately_compiled_shapes_do_not_group() {
+        // Two engines compile the same skeleton into two `Arc`s: grouping
+        // is by pointer, never by structural equality.
+        let (a, b) = (toy_engine(false), toy_engine(false));
+        let mut q = VecDeque::from([
+            (0, a.prepare(AskEngine::Exact, P1A).unwrap()),
+            (1, b.prepare(AskEngine::Exact, P1A).unwrap()),
+        ]);
+        assert_eq!(take(&mut q, 16), [0]);
+        assert_eq!(take(&mut q, 16), [1]);
+    }
+
+    #[test]
+    fn execute_batch_of_a_mix_matches_each_item_alone() {
+        // Two halk skeletons, the same skeleton on the exact engine and a
+        // fault probe, interleaved: every response equals the item run
+        // alone, in submission order, at the default cap and at cap 2.
+        let graph = toy_engine(false).graph().clone();
+        let model = HalkModel::new(&graph, halk_core::HalkConfig::tiny());
+        let mut e = Engine::new(graph, Some(model)).test_faults(true);
+        let asks = [
+            (AskEngine::Halk, P1A),
+            (AskEngine::Halk, P2),
+            (AskEngine::Exact, P1A),
+            (AskEngine::Exact, "__sleep__:0"),
+            (AskEngine::Halk, P1B),
+            (AskEngine::Exact, P1B),
+            (AskEngine::Halk, P2),
+            (AskEngine::Halk, P1A),
+        ];
+        let never = Deadline::never();
+        for cap in [DEFAULT_BATCH_CAP, 2] {
+            e = e.batch_cap(cap);
+            let prepared = queue_of(&e, &asks);
+            let items: Vec<BatchItem> = prepared
+                .iter()
+                .map(|(_, p)| BatchItem {
+                    prepared: p,
+                    top: 3,
+                    deadline: &never,
+                    req: 0,
+                    queue_wait_us: 0,
+                })
+                .collect();
+            let alone: Vec<Response> = asks
+                .iter()
+                .map(|&(eng, sparql)| e.execute(eng, 3, sparql, &never))
+                .collect();
+            assert!(matches!(alone[1], Response::Scores { .. }));
+            assert_eq!(alone[3], Response::Pong);
+            assert_eq!(e.execute_batch(&items), alone, "cap {cap}");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! scores through arc-sharded streaming top-k heaps. A session that holds
 //! a free execution permit runs its request on its own thread; when the
 //! permits are taken, a released permit passes to the oldest queued
-//! request, whose session leads its queued same-skeleton companions
-//! ([`engine::PreparedAsk::batch_key`]) as one kernel pass per shard —
+//! request, whose session leads its queued companions with the same
+//! compiled skeleton and engine as one kernel pass per shard —
 //! DESIGN.md §13. DESIGN.md §12
 //! documents the protocol grammar, the backpressure state machine and
 //! the shutdown sequence; `scripts/ci.sh` drills the fault paths and the

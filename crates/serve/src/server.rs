@@ -32,7 +32,7 @@
 //!   session answers itself `ERR shutdown` — [`Server::join`] returns in
 //!   bounded time.
 
-use crate::engine::{BatchItem, Engine, PreparedAsk};
+use crate::engine::{take_group, BatchItem, Engine, PreparedAsk};
 use crate::protocol::{encode_frame, ErrorKind, FrameDecoder, Request, Response, MAX_FRAME};
 use halk_obs::{Clock, Deadline};
 use std::collections::VecDeque;
@@ -220,7 +220,8 @@ struct Permit<'a>(&'a Shared);
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut s = self.0.sched.lock().unwrap_or_else(PoisonError::into_inner);
-        let group = take_group(&mut s.queue, self.0.engine.max_batch());
+        let group = take_group(&mut s.queue, self.0.engine.max_batch(), |j| &j.prepared);
+        halk_obs::gauge!("halk_serve_queue_depth").set(s.queue.len() as f64);
         let Some(head) = group.first().map(Arc::clone) else {
             s.free += 1;
             return;
@@ -640,36 +641,6 @@ fn wait_turn(shared: &Shared, job: &Arc<Job>) -> Response {
     }
 }
 
-/// Pops the queue's oldest job and pulls every queued companion that can
-/// share its kernel pass — same shape pointer (`Arc::ptr_eq`, the
-/// homogeneity guard `train_batch` uses) and same engine — in queue
-/// order, until the group holds `cap` jobs. Jobs left behind keep their
-/// order. Fault probes have no batch key, so they always run alone.
-/// Updates the queue-depth gauge.
-fn take_group(queue: &mut VecDeque<Arc<Job>>, cap: usize) -> Vec<Arc<Job>> {
-    let Some(first) = queue.pop_front() else {
-        return Vec::new();
-    };
-    let key = first.prepared.batch_key().map(|(s, e)| (Arc::clone(s), e));
-    let mut group = vec![first];
-    if let Some((shape, eng)) = key {
-        let mut i = 0;
-        while i < queue.len() && group.len() < cap {
-            let matches = queue[i]
-                .prepared
-                .batch_key()
-                .is_some_and(|(s, e)| Arc::ptr_eq(s, &shape) && e == eng);
-            if matches {
-                group.push(queue.remove(i).expect("index checked"));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    halk_obs::gauge!("halk_serve_queue_depth").set(queue.len() as f64);
-    group
-}
-
 /// The typed answer for a queued job that must not run: flushed past the
 /// drain deadline, or shed because its own deadline passed while queued
 /// (the client has given up).
@@ -699,8 +670,9 @@ fn lead(shared: &Shared, permit: Permit<'_>, mut group: Vec<Arc<Job>>) -> Respon
         let left = pass.get_or_insert(s.queue.len());
         let next = match *left {
             0 => Vec::new(),
-            _ => take_group(&mut s.queue, shared.engine.max_batch()),
+            _ => take_group(&mut s.queue, shared.engine.max_batch(), |j| &j.prepared),
         };
+        halk_obs::gauge!("halk_serve_queue_depth").set(s.queue.len() as f64);
         *left = left.saturating_sub(next.len());
         drop(s);
         // The lock was taken after every reply slot was written, so a
@@ -801,7 +773,6 @@ fn run_group(shared: &Shared, group: &[Arc<Job>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::AskEngine::{self, Exact, Halk};
 
     #[test]
     fn admit_rejects_full_queue() {
@@ -853,82 +824,5 @@ mod tests {
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 9_000);
         shared.observe_service(0);
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 7_875);
-    }
-
-    /// A hand-built queue for [`take_group`]: one job per `(engine, sparql)`,
-    /// numbered by position through its `req`.
-    fn queue_of(asks: &[(AskEngine, &str)]) -> VecDeque<Arc<Job>> {
-        let graph = halk_kg::Graph::from_triples(
-            4,
-            2,
-            vec![halk_kg::Triple::new(0, 0, 1), halk_kg::Triple::new(1, 1, 2)],
-        );
-        let engine = Engine::new(graph, None).test_faults(true);
-        asks.iter()
-            .enumerate()
-            .map(|(i, &(eng, sparql))| {
-                Arc::new(Job {
-                    prepared: engine
-                        .prepare(eng, sparql)
-                        .unwrap_or_else(|_| panic!("{sparql}")),
-                    top: 10,
-                    deadline: Deadline::never(),
-                    req: i as u64,
-                    enqueued_ns: 0,
-                    reply: Mutex::new(None),
-                    wake: Condvar::new(),
-                })
-            })
-            .collect()
-    }
-
-    fn reqs<'a>(jobs: impl IntoIterator<Item = &'a Arc<Job>>) -> Vec<u64> {
-        jobs.into_iter().map(|j| j.req).collect()
-    }
-
-    const P1A: &str = "SELECT ?x WHERE { e:0 r:0 ?x . }";
-    const P1B: &str = "SELECT ?x WHERE { e:1 r:1 ?x . }";
-    const P2: &str = "SELECT ?x WHERE { e:0 r:0 ?y . ?y r:1 ?x . }";
-
-    #[test]
-    fn take_group_pulls_same_shape_and_engine_in_queue_order() {
-        // Same 1p skeleton twice more behind the leader, interleaved with
-        // a 2p query, a fault probe and a 1p query for the other engine.
-        let mut q = queue_of(&[
-            (Exact, P1A),
-            (Exact, P2),
-            (Exact, P1B),
-            (Exact, "__panic__"),
-            (Halk, P1A),
-            (Exact, P1A),
-        ]);
-        let group = take_group(&mut q, 16);
-        assert_eq!(reqs(&group), [0, 2, 5]);
-        assert_eq!(reqs(&q), [1, 3, 4], "left-behind jobs keep their order");
-    }
-
-    #[test]
-    fn take_group_stops_at_the_cap() {
-        let mut q = queue_of(&[
-            (Exact, P1A),
-            (Exact, P1B),
-            (Exact, P2),
-            (Exact, P1A),
-            (Exact, P1B),
-        ]);
-        assert_eq!(reqs(&take_group(&mut q, 3)), [0, 1, 3]);
-        assert_eq!(reqs(&q), [2, 4]);
-        // A cap of one is the leader alone.
-        assert_eq!(reqs(&take_group(&mut q, 1)), [2]);
-        assert_eq!(reqs(&q), [4]);
-    }
-
-    #[test]
-    fn fault_probes_lead_alone_and_an_empty_queue_yields_nothing() {
-        let mut q = queue_of(&[(Exact, "__sleep__:1"), (Exact, "__sleep__:1"), (Exact, P1A)]);
-        assert_eq!(reqs(&take_group(&mut q, 16)), [0]);
-        assert_eq!(reqs(&q), [1, 2]);
-        let mut empty = VecDeque::new();
-        assert!(take_group(&mut empty, 16).is_empty());
     }
 }

@@ -11,9 +11,18 @@
 //! triple     := term relation term
 //! term       := var | entity
 //! ```
+//!
+//! `group` recurses once per nesting level, so nesting is capped at
+//! [`MAX_GROUP_DEPTH`]: a frame of nothing but `{` fits well inside
+//! serve's frame limit and would otherwise overflow a thread's stack.
 
 use crate::lexer::{tokenize, LexError, Token};
 use std::fmt;
+
+/// Deepest group nesting the parser accepts (the `WHERE` group is depth
+/// 1). The paper's structures nest only a few levels; deeper input is a
+/// [`ParseError`], never a stack overflow.
+pub const MAX_GROUP_DEPTH: usize = 64;
 
 /// A subject/object position: variable or grounded entity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,14 +145,20 @@ impl Parser {
             _ => return Err(self.err("expected a variable after SELECT")),
         };
         self.expect(&Token::Where, "WHERE")?;
-        let where_clause = self.group()?;
+        let where_clause = self.group(1)?;
         Ok(SelectQuery {
             target,
             where_clause,
         })
     }
 
-    fn group(&mut self) -> Result<Group, ParseError> {
+    /// Parses a group nested `depth` levels deep.
+    fn group(&mut self, depth: usize) -> Result<Group, ParseError> {
+        if depth > MAX_GROUP_DEPTH {
+            return Err(self.err(&format!(
+                "groups nested deeper than {MAX_GROUP_DEPTH} levels"
+            )));
+        }
         self.expect(&Token::LBrace, "'{'")?;
         let mut g = Group::default();
         loop {
@@ -154,11 +169,11 @@ impl Parser {
                 }
                 Some(Token::LBrace) => {
                     // A sub-group: only meaningful as part of a UNION chain.
-                    let first = self.group()?;
+                    let first = self.group(depth + 1)?;
                     let mut alts = vec![first];
                     while self.peek() == Some(&Token::Union) {
                         self.pos += 1;
-                        alts.push(self.group()?);
+                        alts.push(self.group(depth + 1)?);
                     }
                     if alts.len() < 2 {
                         return Err(self.err("bare sub-group without UNION"));
@@ -167,13 +182,13 @@ impl Parser {
                 }
                 Some(Token::Minus) => {
                     self.pos += 1;
-                    g.minus.push(self.group()?);
+                    g.minus.push(self.group(depth + 1)?);
                 }
                 Some(Token::Filter) => {
                     self.pos += 1;
                     self.expect(&Token::Not, "NOT after FILTER")?;
                     self.expect(&Token::Exists, "EXISTS after FILTER NOT")?;
-                    g.not_exists.push(self.group()?);
+                    g.not_exists.push(self.group(depth + 1)?);
                 }
                 Some(_) => {
                     g.triples.push(self.triple()?);
@@ -265,6 +280,22 @@ mod tests {
         assert!(parse("SELECT ?x WHERE { e:1 r:0 ?x").is_err()); // unterminated
         assert!(parse("SELECT ?x WHERE { { e:1 r:0 ?x } }").is_err()); // bare subgroup
         assert!(parse("SELECT ?x WHERE { } trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_group_depth() {
+        // A MINUS chain nested exactly MAX_GROUP_DEPTH deep still parses;
+        // one level more is a positioned error, not a deeper recursion.
+        let chain = |levels: usize| {
+            let mut q = String::from("SELECT ?x WHERE { e:0 r:0 ?x . ");
+            for _ in 1..levels {
+                q.push_str("MINUS { e:1 r:0 ?x . ");
+            }
+            q + &"} ".repeat(levels)
+        };
+        assert!(parse(&chain(MAX_GROUP_DEPTH)).is_ok());
+        let err = parse(&chain(MAX_GROUP_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
     }
 
     #[test]

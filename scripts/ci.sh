@@ -253,13 +253,14 @@ echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
 )
 
 echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads)"
-# The skeleton-keyed batch executor (DESIGN.md §15) is the single code path
-# under training, evaluation and serving; this drill runs all three surfaces
-# at a strictly sequential and a 4-worker pool. Thread count is a scheduling
-# knob only (DESIGN.md §9): the two training runs must produce bit-identical
-# checkpoints, and load_gen's `"mismatches":0` pins every served answer —
-# grouped through the executor with a non-default --batch-cap — to the
-# one-shot reference.
+# Training, evaluation and serving each run their own group kernel on one
+# shared batch executor (DESIGN.md §15: caches, plan cache, pool, group
+# instrumentation); this drill runs all three surfaces at a strictly
+# sequential and a 4-thread pool. Thread count is a scheduling knob only
+# (DESIGN.md §9): the two training runs must produce bit-identical
+# checkpoints, the two eval runs byte-identical tables, and load_gen's
+# `"mismatches":0` pins every served answer — grouped by serve's drain with
+# a non-default --batch-cap — to the one-shot reference.
 (
     cd "$OBS_TMP"
     exec_body() {
@@ -277,6 +278,7 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
         HALK_THREADS=$threads HALK_SCALE=smoke "$ROOT/target/release/exp_table1_2" \
             --metrics-out "eval_exec_$threads.json"
         test -s "eval_exec_$threads.json"
+        cp results/table1_2.json "table1_2_exec_$threads.json"
         with_daemon "serve_exec_$threads" exec_body HALK_THREADS="$threads" -- \
             --graph g.tsv --model model --shards 2 --batch-cap 4
     done
@@ -284,6 +286,9 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
     # bit-reproducible across pool sizes: identical checkpoints, byte for
     # byte.
     cmp model_exec_1/params.ckpt model_exec_4/params.ckpt
+    # Eval accepts candidates in attempt order and folds ranks sequentially,
+    # so the metrics table is byte-identical across pool sizes too.
+    cmp table1_2_exec_1.json table1_2_exec_4.json
 )
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
