@@ -232,7 +232,7 @@ pub mod reference {
         to_dnf(query)
             .iter()
             .map(|branch| {
-                let mut tape = Tape::new();
+                let mut tape = Tape::forward_only();
                 let rep = embed_batch(geom, &mut tape, &[branch])?;
                 Some(read(&mut tape, rep))
             })

@@ -165,7 +165,7 @@ impl NewLookModel {
     fn embed_query_values(&self, query: &Query) -> Option<Vec<Vec<(f32, f32)>>> {
         let shape = self.plans.shape_for(query);
         let bindings = PlanBindings::of(query);
-        let mut tape = Tape::new();
+        let mut tape = Tape::forward_only();
         let roots = embed_plan(self, &mut tape, &shape, std::slice::from_ref(&bindings))?;
         Some(
             roots

@@ -5,15 +5,19 @@
 //! ```text
 //! load_gen --addr HOST:PORT --graph graph.tsv [--model DIR]
 //!          [--duration-ms 3000] [--clients 4] [--seed 1] [--top 10]
-//!          [--deadline-ms 2000] [--faults]
+//!          [--deadline-ms 2000] [--faults] [--precision f32]
 //! ```
 //!
 //! Replays mixed traffic over every paper structure expressible in the
 //! SPARQL subset (all 24: projections, intersections, unions, differences
 //! and the negation family), verifying each served answer **bit-for-bit**
 //! against a locally computed reference — the exact engine's answer sets
-//! and the embedding scorer's f32 scores must round-trip the wire
-//! unchanged. With `--faults` it additionally runs an adversarial side
+//! and the embedding scorer's scores must round-trip the wire unchanged.
+//! `--precision` must match the daemon's `--precision`: the reference
+//! then scores against an entity-trig table stored at that precision, so
+//! a quantized daemon is checked bit-for-bit too (its sharded top-k equals
+//! the full-vector top-k at the same precision). With `--faults` it
+//! additionally runs an adversarial side
 //! channel: mid-request disconnects, slowloris writers, malformed and
 //! oversized frames, and connection bursts past the admission limit.
 //!
@@ -21,7 +25,7 @@
 //! histogram, shed/error counts, and `"mismatches"` which must be 0) and
 //! exits nonzero on any mismatch — `scripts/ci.sh` gates on both.
 
-use halk_core::{top_k_indices, HalkModel};
+use halk_core::{top_k_indices, HalkModel, Precision};
 use halk_kg::tsv;
 use halk_logic::plan::{execute_set, PlanBindings, PlanShape};
 use halk_logic::{Query, Sampler, Structure};
@@ -150,11 +154,14 @@ struct WorkItem {
 fn build_workload(
     graph: &halk_kg::Graph,
     model: Option<&HalkModel>,
+    precision: Precision,
     top: usize,
     per_structure: usize,
     seed: u64,
 ) -> Vec<WorkItem> {
     let sampler = Sampler::new(graph);
+    let trig = model.map(|m| m.entity_trig_with(precision));
+    let mut scores = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut items = Vec::new();
     for s in Structure::all() {
@@ -182,8 +189,8 @@ fn build_workload(
             let shape = PlanShape::compile(&query);
             let exact = execute_set(&shape, &PlanBindings::of(&query), graph);
             let exact_ids: Vec<u32> = exact.iter().map(|e| e.0).collect();
-            let halk_top = model.map(|m| {
-                let scores = m.score_all(&query);
+            let halk_top = model.zip(trig.as_ref()).map(|(m, trig)| {
+                m.score_all_with(trig, &query, &mut scores);
                 let ids = top_k_indices(&scores, top);
                 let pairs = ids
                     .iter()
@@ -411,6 +418,7 @@ fn main() -> ExitCode {
     let mut top = 10usize;
     let mut deadline_ms = 2_000u64;
     let mut faults = false;
+    let mut precision = Precision::F32;
 
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -425,11 +433,21 @@ fn main() -> ExitCode {
             "--top" => top = val("--top").parse().expect("number"),
             "--deadline-ms" => deadline_ms = val("--deadline-ms").parse().expect("number"),
             "--faults" => faults = true,
+            "--precision" => {
+                let v = val("--precision");
+                precision = match v.parse() {
+                    Ok(p) => p,
+                    Err(e) => {
+                        eprintln!("load_gen: --precision: {e}");
+                        return ExitCode::from(2);
+                    }
+                }
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: load_gen --addr HOST:PORT --graph graph.tsv [--model DIR] \
                      [--duration-ms N] [--clients N] [--seed N] [--top N] \
-                     [--deadline-ms N] [--faults]"
+                     [--deadline-ms N] [--faults] [--precision f32|i16|i8]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -466,7 +484,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let items = build_workload(&graph, model.as_ref(), top, 4, seed);
+    let items = build_workload(&graph, model.as_ref(), precision, top, 4, seed);
     if items.is_empty() {
         eprintln!("load_gen: workload is empty (graph too small?)");
         return ExitCode::FAILURE;

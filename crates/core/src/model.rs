@@ -36,6 +36,8 @@ use halk_nn::{Act, GradBuffer, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
 use halk_par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 /// The trained state of HaLk: embedding tables, operator networks and the
 /// node grouping, all hanging off one [`ParamStore`].
@@ -77,6 +79,12 @@ pub struct HalkModel {
     /// bit-identical at any parallelism (DESIGN.md §9). Not part of the
     /// saved state — fresh shards are equivalent (see DESIGN.md §8).
     pub(crate) train_shards: Vec<(Tape, GradBuffer)>,
+    /// Reset forward-only tapes for inference embeds, each tagged with the
+    /// thread that returned it last (DESIGN.md §8). An embed checks one
+    /// out and puts it back reset, so the pool holds at most as many
+    /// tapes as embeds ever ran at once, and their buffer pools carry
+    /// over between queries. Derived state like `train_shards`: not saved.
+    infer_tapes: Mutex<Vec<(ThreadId, Tape)>>,
     /// The model's own batch executor (DESIGN.md §15): owns the worker
     /// pool (0 threads = auto via [`halk_par::auto_threads`]), the
     /// compiled-plan cache, and the scoring-cache layer. Like
@@ -165,6 +173,7 @@ impl HalkModel {
             neg_center,
             neg_alpha,
             train_shards: Vec::new(),
+            infer_tapes: Mutex::new(Vec::new()),
             exec: Executor::new(Self::exec_config()),
         }
     }
@@ -634,15 +643,37 @@ impl HalkModel {
     /// for all branches.
     pub fn embed_query(&self, query: &Query) -> Vec<Vec<Arc>> {
         let shape = self.exec.shape_for(query);
-        let (bindings, masks) = self.bind(&shape, query);
-        let mut tape = Tape::new();
-        let roots = self.embed_plan(
-            &mut tape,
-            &shape,
-            std::slice::from_ref(&bindings),
-            std::slice::from_ref(&masks),
-        );
-        self.branch_arcs(&tape, &roots, 0)
+        self.embed_rows(&shape, &[query])
+            .pop()
+            .expect("one query in, one row out")
+    }
+
+    /// The inference embed behind [`HalkModel::embed_query`] and
+    /// [`HalkModel::scorers_for_shape`]: binds every query against `shape`,
+    /// runs one batched plan pass on a pooled forward-only tape and reads
+    /// each row's DNF branch arcs off it.
+    fn embed_rows(&self, shape: &PlanShape, queries: &[&Query]) -> Vec<Vec<Vec<Arc>>> {
+        let (bindings, masks): (Vec<_>, Vec<_>) =
+            queries.iter().map(|q| self.bind(shape, q)).unzip();
+        let tapes = || self.infer_tapes.lock().expect("inference tape pool");
+        // Prefer this thread's own tape: its buffers are still in this
+        // core's cache and came from this thread's allocator arena. Any
+        // pooled tape will do otherwise; a new one only if none is free.
+        let me = std::thread::current().id();
+        let mut tape = {
+            let mut pool = tapes();
+            match pool.iter().rposition(|(owner, _)| *owner == me) {
+                Some(i) => pool.swap_remove(i).1,
+                None => pool.pop().map_or_else(Tape::forward_only, |(_, t)| t),
+            }
+        };
+        let roots = self.embed_plan(&mut tape, shape, &bindings, &masks);
+        let rows = (0..queries.len())
+            .map(|b| self.branch_arcs(&tape, &roots, b))
+            .collect();
+        tape.reset();
+        tapes().push((me, tape));
+        rows
     }
 
     /// Reads batch row `b` of the embedded plan roots off `tape` as one
@@ -730,14 +761,10 @@ impl HalkModel {
         if queries.is_empty() {
             return Vec::new();
         }
-        let (bindings, masks): (Vec<_>, Vec<_>) =
-            queries.iter().map(|q| self.bind(shape, q)).unzip();
-        let mut tape = Tape::new();
-        let roots = self.embed_plan(&mut tape, shape, &bindings, &masks);
-        (0..queries.len())
-            .map(|b| {
-                let branches = self.branch_arcs(&tape, &roots, b);
-                ArcScorer::from_arcs(&branches, self.cfg.rho, self.cfg.eta, self.cfg.distance)
+        self.embed_rows(shape, queries)
+            .iter()
+            .map(|branches| {
+                ArcScorer::from_arcs(branches, self.cfg.rho, self.cfg.eta, self.cfg.distance)
             })
             .collect()
     }
@@ -792,6 +819,12 @@ impl HalkModel {
             .iter()
             .map(|(t, _)| t.pooled_buffers())
             .sum()
+    }
+
+    /// Forward-only tapes pooled for inference embeds (diagnostics/tests:
+    /// never more than the embeds that ever ran at once).
+    pub fn inference_tapes(&self) -> usize {
+        self.infer_tapes.lock().expect("inference tape pool").len()
     }
 
     /// Reads the current (inference-time) arc of a single embedded branch —
@@ -955,6 +988,7 @@ impl HalkModel {
             neg_center,
             neg_alpha,
             train_shards: Vec::new(),
+            infer_tapes: Mutex::new(Vec::new()),
             exec: Executor::new(Self::exec_config()),
         })
     }
@@ -1122,7 +1156,7 @@ pub mod reference {
         /// AST-walking [`HalkModel::embed_query`]: DNF per call, one tape
         /// reset per branch, recursive embedding of each branch.
         pub fn embed_query_ast(&self, query: &Query) -> Vec<Vec<Arc>> {
-            let mut tape = Tape::new();
+            let mut tape = Tape::forward_only();
             to_dnf(query)
                 .iter()
                 .map(|branch| {

@@ -72,12 +72,11 @@ impl Linear {
         }
     }
 
-    /// Forward pass for a `B × in_dim` input.
+    /// Forward pass for a `B × in_dim` input ([`Tape::affine`]: recorded
+    /// for backward on a training tape, read in place on a forward-only
+    /// one).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        tape.add_row(xw, b)
+        tape.affine(store, x, self.w, self.b)
     }
 }
 

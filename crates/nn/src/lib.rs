@@ -12,6 +12,10 @@
 //! * parameters live in a persistent [`params::ParamStore`]; tapes are
 //!   cheap per-batch objects; embedding lookups ([`tape::Tape::gather`])
 //!   scatter gradients sparsely;
+//! * inference runs on [`tape::Tape::forward_only`] tapes, which record no
+//!   ops and let dense layers read their weights in place
+//!   ([`tape::Tape::affine`]), with values bit-identical to a recording
+//!   tape;
 //! * everything is deterministic under a seeded `rand::rngs::StdRng`.
 
 pub mod checkpoint;

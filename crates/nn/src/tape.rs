@@ -12,10 +12,16 @@
 //! steady state where the hot loop performs no heap allocation. See
 //! DESIGN.md §8 for the reuse invariants.
 //!
-//! Parameters live outside the tape in a [`ParamStore`]; `param`/`gather`
-//! snapshot their values at record time and `backward` scatters gradients
-//! back, which makes embedding-table lookups sparse (only touched rows
-//! receive gradient).
+//! Parameters live outside the tape in a [`ParamStore`]. On a recording
+//! tape ([`Tape::new`]) `param`/`gather` snapshot their values at record
+//! time and `backward` scatters gradients back, which makes
+//! embedding-table lookups sparse (only touched rows receive gradient).
+//!
+//! Inference runs on a forward-only tape ([`Tape::forward_only`]): the same
+//! op methods compute the same values, but no op is recorded, `gather`
+//! keeps no index list, and [`Tape::affine`] (every dense layer) reads its
+//! weight and bias straight from the store instead of copying them onto
+//! the tape. `backward` on such a tape panics.
 
 use crate::params::{GradSink, ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -69,11 +75,6 @@ enum Op {
     Max(Var, Var),
 }
 
-struct Node {
-    data: Tensor,
-    op: Op,
-}
-
 /// Free-list of `Vec<f32>` allocations recycled across [`Tape::reset`]
 /// calls. Buffers come back dirty: every consumer must overwrite (or
 /// zero-fill) the full length it claims before reading.
@@ -103,27 +104,44 @@ impl BufferPool {
 /// [`Tape::backward`] once on a scalar loss, then [`Tape::reset`] to reuse
 /// the tape (and its buffer allocations) for the next batch or branch.
 pub struct Tape {
-    nodes: Vec<Node>,
+    /// Forward value of every node, indexed by [`Var`].
+    values: Vec<Tensor>,
+    /// The op that produced each node; stays empty on a forward-only tape.
+    ops: Vec<Op>,
     pool: BufferPool,
+    recording: bool,
 }
 
 impl Tape {
-    /// An empty tape.
+    /// An empty recording tape: every op is kept for [`Tape::backward`].
     pub fn new() -> Self {
         Self {
-            nodes: Vec::new(),
+            values: Vec::new(),
+            ops: Vec::new(),
             pool: BufferPool::default(),
+            recording: true,
         }
     }
 
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
+    /// An empty forward-only tape for inference: values are bit-identical
+    /// to a recording tape's, but no op is recorded and dense layers read
+    /// their weights from the store in place ([`Tape::affine`]).
+    /// [`Tape::backward`] panics on it.
+    pub fn forward_only() -> Self {
+        Self {
+            recording: false,
+            ..Self::new()
+        }
     }
 
-    /// True if nothing has been recorded.
+    /// Number of nodes on the tape.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True if the tape holds no node.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.values.is_empty()
     }
 
     /// Clears all recorded nodes, returning their buffers to the internal
@@ -137,12 +155,13 @@ impl Tape {
     /// while [`Tape::input`] adopts caller allocations every pass — without
     /// the cap those would pile up in the free list forever.
     pub fn reset(&mut self) {
-        let drained = self.nodes.len();
+        let drained = self.values.len();
         let pool = &mut self.pool;
-        for node in self.nodes.drain(..) {
-            pool.put(node.data.data);
+        for t in self.values.drain(..) {
+            pool.put(t.data);
         }
         pool.free.truncate(drained);
+        self.ops.clear();
     }
 
     /// Number of free buffers currently pooled (diagnostics/tests).
@@ -158,18 +177,27 @@ impl Tape {
 
     /// Forward value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].data
+        &self.values[v.0]
     }
 
+    /// Appends a node, recording `op` only on a recording tape.
     fn push(&mut self, data: Tensor, op: Op) -> Var {
-        self.nodes.push(Node { data, op });
-        Var(self.nodes.len() - 1)
+        if self.recording {
+            self.ops.push(op);
+        }
+        self.push_value(data)
+    }
+
+    /// Appends a node's value without touching the op list.
+    fn push_value(&mut self, data: Tensor) -> Var {
+        self.values.push(data);
+        Var(self.values.len() - 1)
     }
 
     /// Elementwise unary op into a pooled buffer.
     fn pooled_map(&mut self, a: Var, f: impl Fn(f32) -> f32) -> Tensor {
-        let Tape { nodes, pool } = self;
-        let src = &nodes[a.0].data;
+        let Tape { values, pool, .. } = self;
+        let src = &values[a.0];
         let mut data = pool.take(src.len());
         data.extend(src.data.iter().map(|&x| f(x)));
         Tensor {
@@ -181,8 +209,8 @@ impl Tape {
 
     /// Elementwise binary op (same shape) into a pooled buffer.
     fn pooled_zip(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let Tape { nodes, pool } = self;
-        let (x, y) = (&nodes[a.0].data, &nodes[b.0].data);
+        let Tape { values, pool, .. } = self;
+        let (x, y) = (&values[a.0], &values[b.0]);
         let mut data = pool.take(x.len());
         data.extend(x.data.iter().zip(&y.data).map(|(&x, &y)| f(x, y)));
         Tensor {
@@ -193,7 +221,7 @@ impl Tape {
     }
 
     fn shape(&self, v: Var) -> (usize, usize) {
-        (self.nodes[v.0].data.rows, self.nodes[v.0].data.cols)
+        (self.values[v.0].rows, self.values[v.0].cols)
     }
 
     fn assert_same(&self, a: Var, b: Var, what: &str) {
@@ -214,7 +242,9 @@ impl Tape {
         self.push(Tensor { rows, cols, data }, Op::Input)
     }
 
-    /// Records a whole parameter tensor (snapshot of its current value).
+    /// Records a whole parameter tensor (snapshot of its current value;
+    /// a forward-only tape copies it too — dense layers avoid the copy
+    /// through [`Tape::affine`]).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let src = store.value(id);
         let mut data = self.pool.take(src.len());
@@ -228,7 +258,8 @@ impl Tape {
     }
 
     /// Records an embedding lookup: row `indices[i]` of the parameter becomes
-    /// row `i` of the node. Gradients scatter-add back sparsely.
+    /// row `i` of the node. Gradients scatter-add back sparsely; a
+    /// forward-only tape keeps no copy of `indices`.
     pub fn gather(&mut self, store: &ParamStore, id: ParamId, indices: &[u32]) -> Var {
         let table = store.value(id);
         let mut data = self.pool.take(indices.len() * table.cols);
@@ -240,13 +271,13 @@ impl Tape {
             cols: table.cols,
             data,
         };
-        self.push(
-            out,
-            Op::Gather {
+        if self.recording {
+            self.ops.push(Op::Gather {
                 param: id,
                 indices: indices.to_vec(),
-            },
-        )
+            });
+        }
+        self.push_value(out)
     }
 
     // ------------------------------------------------------------ binary ops
@@ -289,8 +320,8 @@ impl Tape {
             (1, ac),
             "add_row: row must be 1x{ac}, got {rr}x{rc}"
         );
-        let Tape { nodes, pool } = self;
-        let (at, rowt) = (&nodes[a.0].data, &nodes[row.0].data);
+        let Tape { values, pool, .. } = self;
+        let (at, rowt) = (&values[a.0], &values[row.0]);
         let mut data = pool.take(at.len());
         for r in 0..ar {
             data.extend(at.row(r).iter().zip(&rowt.data).map(|(&x, &s)| x + s));
@@ -312,8 +343,8 @@ impl Tape {
             (1, ac),
             "mul_row: row must be 1x{ac}, got {rr}x{rc}"
         );
-        let Tape { nodes, pool } = self;
-        let (at, rowt) = (&nodes[a.0].data, &nodes[row.0].data);
+        let Tape { values, pool, .. } = self;
+        let (at, rowt) = (&values[a.0], &values[row.0]);
         let mut data = pool.take(at.len());
         for r in 0..ar {
             data.extend(at.row(r).iter().zip(&rowt.data).map(|(&x, &s)| x * s));
@@ -328,8 +359,8 @@ impl Tape {
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let Tape { nodes, pool } = self;
-        let (at, bt) = (&nodes[a.0].data, &nodes[b.0].data);
+        let Tape { values, pool, .. } = self;
+        let (at, bt) = (&values[a.0], &values[b.0]);
         let (m, n) = (at.rows, bt.cols);
         let mut data = pool.take(m * n);
         data.resize(m * n, 0.0); // matmul_into accumulates; start from zeros
@@ -340,6 +371,48 @@ impl Tape {
             data,
         };
         self.push(t, Op::MatMul(a, b))
+    }
+
+    /// The dense layer `x·W + b` for a weight parameter `w` (`in × out`)
+    /// and a bias parameter `b` (`1 × out`).
+    ///
+    /// A recording tape records it as `param`, `param`, `matmul`, `add_row`,
+    /// so backward reaches both parameters. A forward-only tape reads `W`
+    /// and `b` from the store in place and writes one pooled node, with the
+    /// same zero-started `matmul_into` and the same single add per element
+    /// as `add_row`, so its values are bit-identical.
+    pub fn affine(&mut self, store: &ParamStore, x: Var, w: ParamId, b: ParamId) -> Var {
+        if self.recording {
+            let wv = self.param(store, w);
+            let bv = self.param(store, b);
+            let xw = self.matmul(x, wv);
+            return self.add_row(xw, bv);
+        }
+        let (wt, bt) = (store.value(w), store.value(b));
+        assert_eq!(
+            (bt.rows, bt.cols),
+            (1, wt.cols),
+            "affine: bias must be 1x{}, got {}x{}",
+            wt.cols,
+            bt.rows,
+            bt.cols
+        );
+        let Tape { values, pool, .. } = self;
+        let xt = &values[x.0];
+        let (m, n) = (xt.rows, wt.cols);
+        let mut data = pool.take(m * n);
+        data.resize(m * n, 0.0); // matmul_into accumulates; start from zeros
+        xt.matmul_into(wt, &mut data);
+        for r in 0..m {
+            for (o, &s) in data[r * n..(r + 1) * n].iter_mut().zip(&bt.data) {
+                *o += s;
+            }
+        }
+        self.push_value(Tensor {
+            rows: m,
+            cols: n,
+            data,
+        })
     }
 
     /// Elementwise minimum.
@@ -456,11 +529,11 @@ impl Tape {
         for &p in parts {
             assert_eq!(self.shape(p).0, rows, "concat_cols: row mismatch");
         }
-        let Tape { nodes, pool } = self;
+        let Tape { values, pool, .. } = self;
         let mut data = pool.take(rows * total);
         for r in 0..rows {
             for &p in parts {
-                data.extend_from_slice(nodes[p.0].data.row(r));
+                data.extend_from_slice(values[p.0].row(r));
             }
         }
         let out = Tensor {
@@ -468,17 +541,20 @@ impl Tape {
             cols: total,
             data,
         };
-        self.push(out, Op::ConcatCols(parts.to_vec()))
+        if self.recording {
+            self.ops.push(Op::ConcatCols(parts.to_vec()));
+        }
+        self.push_value(out)
     }
 
     /// Columns `start..end` of `a`.
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
         let (rows, cols) = self.shape(a);
         assert!(start <= end && end <= cols, "slice_cols out of range");
-        let Tape { nodes, pool } = self;
+        let Tape { values, pool, .. } = self;
         let mut data = pool.take(rows * (end - start));
         for r in 0..rows {
-            data.extend_from_slice(&nodes[a.0].data.row(r)[start..end]);
+            data.extend_from_slice(&values[a.0].row(r)[start..end]);
         }
         let out = Tensor {
             rows,
@@ -491,9 +567,9 @@ impl Tape {
     /// Row-wise sum, `B×d → B×1`.
     pub fn sum_cols(&mut self, a: Var) -> Var {
         let (rows, _) = self.shape(a);
-        let Tape { nodes, pool } = self;
+        let Tape { values, pool, .. } = self;
         let mut data = pool.take(rows);
-        data.extend((0..rows).map(|r| nodes[a.0].data.row(r).iter().sum::<f32>()));
+        data.extend((0..rows).map(|r| values[a.0].row(r).iter().sum::<f32>()));
         let out = Tensor {
             rows,
             cols: 1,
@@ -504,8 +580,8 @@ impl Tape {
 
     /// Mean of all elements, `→ 1×1`.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let n = self.nodes[a.0].data.len() as f32;
-        let v = self.nodes[a.0].data.sum() / n;
+        let n = self.values[a.0].len() as f32;
+        let v = self.values[a.0].sum() / n;
         let mut data = self.pool.take(1);
         data.push(v);
         let t = Tensor {
@@ -518,7 +594,7 @@ impl Tape {
 
     /// Sum of all elements, `→ 1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].data.sum();
+        let v = self.values[a.0].sum();
         let mut data = self.pool.take(1);
         data.push(v);
         let t = Tensor {
@@ -542,7 +618,7 @@ impl Tape {
     /// inspection (index = node id; `None` if the node received no gradient).
     ///
     /// # Panics
-    /// If `loss` is not a `1×1` tensor.
+    /// If `loss` is not a `1×1` tensor, or the tape is forward-only.
     pub fn backward(&self, loss: Var, store: &mut ParamStore) -> Vec<Option<Tensor>> {
         self.backward_into(loss, store)
     }
@@ -551,8 +627,9 @@ impl Tape {
     /// may be the [`ParamStore`] itself or a worker-private
     /// [`crate::GradBuffer`] when several shards run backward concurrently.
     pub fn backward_into<S: GradSink>(&self, loss: Var, sink: &mut S) -> Vec<Option<Tensor>> {
+        assert!(self.recording, "backward on a forward-only tape");
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be scalar");
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.values.len()];
         grads[loss.0] = Some(Tensor::scalar(1.0));
 
         // Helper to accumulate into an Option<Tensor> slot.
@@ -563,13 +640,13 @@ impl Tape {
             }
         }
 
-        for idx in (0..self.nodes.len()).rev() {
+        for idx in (0..self.values.len()).rev() {
             let g = match grads[idx].take() {
                 Some(g) => g,
                 None => continue,
             };
-            let node = &self.nodes[idx];
-            match &node.op {
+            let value = &self.values[idx];
+            match &self.ops[idx] {
                 Op::Input => {}
                 Op::Param(id) => sink.accumulate(*id, &g),
                 Op::Gather { param, indices } => {
@@ -587,14 +664,14 @@ impl Tape {
                     acc(&mut grads[b.0], &neg);
                 }
                 Op::Mul(a, b) => {
-                    let ga = g.zip_map(&self.nodes[b.0].data, |g, y| g * y);
-                    let gb = g.zip_map(&self.nodes[a.0].data, |g, x| g * x);
+                    let ga = g.zip_map(&self.values[b.0], |g, y| g * y);
+                    let gb = g.zip_map(&self.values[a.0], |g, x| g * x);
                     acc(&mut grads[a.0], &ga);
                     acc(&mut grads[b.0], &gb);
                 }
                 Op::Div(a, b) => {
-                    let bd = &self.nodes[b.0].data;
-                    let ad = &self.nodes[a.0].data;
+                    let bd = &self.values[b.0];
+                    let ad = &self.values[a.0];
                     let ga = g.zip_map(bd, |g, y| g / y);
                     let mut gb = g.zip_map(ad, |g, x| g * x);
                     gb = gb.zip_map(bd, |t, y| -t / (y * y));
@@ -612,8 +689,8 @@ impl Tape {
                     acc(&mut grads[row.0], &gr);
                 }
                 Op::MulRow(a, row) => {
-                    let rowd = &self.nodes[row.0].data;
-                    let ad = &self.nodes[a.0].data;
+                    let rowd = &self.values[row.0];
+                    let ad = &self.values[a.0];
                     let mut ga = g.clone();
                     for r in 0..ga.rows {
                         let dst = ga.row_mut(r);
@@ -631,8 +708,8 @@ impl Tape {
                     acc(&mut grads[row.0], &gr);
                 }
                 Op::MatMul(a, b) => {
-                    let ga = g.matmul_t(&self.nodes[b.0].data); // g · bᵀ
-                    let gb = self.nodes[a.0].data.t_matmul(&g); // aᵀ · g
+                    let ga = g.matmul_t(&self.values[b.0]); // g · bᵀ
+                    let gb = self.values[a.0].t_matmul(&g); // aᵀ · g
                     acc(&mut grads[a.0], &ga);
                     acc(&mut grads[b.0], &gb);
                 }
@@ -642,40 +719,40 @@ impl Tape {
                 }
                 Op::AddScalar(a) => acc(&mut grads[a.0], &g),
                 Op::Sin(a) => {
-                    let ga = g.zip_map(&self.nodes[a.0].data, |g, x| g * x.cos());
+                    let ga = g.zip_map(&self.values[a.0], |g, x| g * x.cos());
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Cos(a) => {
-                    let ga = g.zip_map(&self.nodes[a.0].data, |g, x| -g * x.sin());
+                    let ga = g.zip_map(&self.values[a.0], |g, x| -g * x.sin());
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Tanh(a) => {
-                    let ga = g.zip_map(&node.data, |g, y| g * (1.0 - y * y));
+                    let ga = g.zip_map(value, |g, y| g * (1.0 - y * y));
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Sigmoid(a) => {
-                    let ga = g.zip_map(&node.data, |g, y| g * y * (1.0 - y));
+                    let ga = g.zip_map(value, |g, y| g * y * (1.0 - y));
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Relu(a) => {
-                    let ga = g.zip_map(&self.nodes[a.0].data, |g, x| if x > 0.0 { g } else { 0.0 });
+                    let ga = g.zip_map(&self.values[a.0], |g, x| if x > 0.0 { g } else { 0.0 });
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Abs(a) => {
-                    let ga = g.zip_map(&self.nodes[a.0].data, |g, x| g * x.signum());
+                    let ga = g.zip_map(&self.values[a.0], |g, x| g * x.signum());
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Exp(a) => {
-                    let ga = g.zip_map(&node.data, |g, y| g * y);
+                    let ga = g.zip_map(value, |g, y| g * y);
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Softplus(a) => {
-                    let ga = g.zip_map(&self.nodes[a.0].data, |g, x| g / (1.0 + (-x).exp()));
+                    let ga = g.zip_map(&self.values[a.0], |g, x| g / (1.0 + (-x).exp()));
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Atan2(y, x) => {
-                    let yd = &self.nodes[y.0].data;
-                    let xd = &self.nodes[x.0].data;
+                    let yd = &self.values[y.0];
+                    let xd = &self.values[x.0];
                     // d/dy atan2 = x/(x²+y²); d/dx atan2 = −y/(x²+y²).
                     let mut gy = Tensor::zeros(g.rows, g.cols);
                     let mut gx = Tensor::zeros(g.rows, g.cols);
@@ -691,7 +768,7 @@ impl Tape {
                 Op::ConcatCols(parts) => {
                     let mut off = 0;
                     for &p in parts {
-                        let pc = self.nodes[p.0].data.cols;
+                        let pc = self.values[p.0].cols;
                         let mut gp = Tensor::zeros(g.rows, pc);
                         for r in 0..g.rows {
                             gp.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
@@ -701,7 +778,7 @@ impl Tape {
                     }
                 }
                 Op::SliceCols(a, start, _end) => {
-                    let (ar, ac) = (self.nodes[a.0].data.rows, self.nodes[a.0].data.cols);
+                    let (ar, ac) = (self.values[a.0].rows, self.values[a.0].cols);
                     let mut ga = Tensor::zeros(ar, ac);
                     for r in 0..g.rows {
                         ga.row_mut(r)[*start..*start + g.cols].copy_from_slice(g.row(r));
@@ -709,7 +786,7 @@ impl Tape {
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::SumCols(a) => {
-                    let (ar, ac) = (self.nodes[a.0].data.rows, self.nodes[a.0].data.cols);
+                    let (ar, ac) = (self.values[a.0].rows, self.values[a.0].cols);
                     let mut ga = Tensor::zeros(ar, ac);
                     for r in 0..ar {
                         let gr = g.data[r];
@@ -718,25 +795,18 @@ impl Tape {
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::MeanAll(a) => {
-                    let n = self.nodes[a.0].data.len() as f32;
-                    let ga = Tensor::full(
-                        self.nodes[a.0].data.rows,
-                        self.nodes[a.0].data.cols,
-                        g.item() / n,
-                    );
+                    let n = self.values[a.0].len() as f32;
+                    let ga =
+                        Tensor::full(self.values[a.0].rows, self.values[a.0].cols, g.item() / n);
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::SumAll(a) => {
-                    let ga = Tensor::full(
-                        self.nodes[a.0].data.rows,
-                        self.nodes[a.0].data.cols,
-                        g.item(),
-                    );
+                    let ga = Tensor::full(self.values[a.0].rows, self.values[a.0].cols, g.item());
                     acc(&mut grads[a.0], &ga);
                 }
                 Op::Min(a, b) => {
-                    let ad = &self.nodes[a.0].data;
-                    let bd = &self.nodes[b.0].data;
+                    let ad = &self.values[a.0];
+                    let bd = &self.values[b.0];
                     let mut ga = Tensor::zeros(g.rows, g.cols);
                     let mut gb = Tensor::zeros(g.rows, g.cols);
                     for i in 0..g.data.len() {
@@ -750,8 +820,8 @@ impl Tape {
                     acc(&mut grads[b.0], &gb);
                 }
                 Op::Max(a, b) => {
-                    let ad = &self.nodes[a.0].data;
-                    let bd = &self.nodes[b.0].data;
+                    let ad = &self.values[a.0];
+                    let bd = &self.values[b.0];
                     let mut ga = Tensor::zeros(g.rows, g.cols);
                     let mut gb = Tensor::zeros(g.rows, g.cols);
                     for i in 0..g.data.len() {

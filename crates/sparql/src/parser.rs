@@ -15,6 +15,9 @@
 //! `group` recurses once per nesting level, so nesting is capped at
 //! [`MAX_GROUP_DEPTH`]: a frame of nothing but `{` fits well inside
 //! serve's frame limit and would otherwise overflow a thread's stack.
+//! The Adaptor recurses once per chained triple, and the `Query` it builds
+//! nests as deep, so the triple count is capped too, at [`MAX_TRIPLES`],
+//! before anything is adapted.
 
 use crate::lexer::{tokenize, LexError, Token};
 use std::fmt;
@@ -23,6 +26,12 @@ use std::fmt;
 /// 1). The paper's structures nest only a few levels; deeper input is a
 /// [`ParseError`], never a stack overflow.
 pub const MAX_GROUP_DEPTH: usize = 64;
+
+/// Most triple patterns one query may hold, over all its groups. The
+/// paper's structures use at most a handful; a longer input is a
+/// [`ParseError`], so a chain of triples can never drive the Adaptor's
+/// per-triple recursion past a thread's stack.
+pub const MAX_TRIPLES: usize = 256;
 
 /// A subject/object position: variable or grounded entity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +104,11 @@ impl From<LexError> for ParseError {
 /// Parses a SPARQL string into a [`SelectQuery`].
 pub fn parse(input: &str) -> Result<SelectQuery, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        triples: 0,
+    };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after query"));
@@ -106,6 +119,8 @@ pub fn parse(input: &str) -> Result<SelectQuery, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Triple patterns parsed so far (checked against [`MAX_TRIPLES`]).
+    triples: usize,
 }
 
 impl Parser {
@@ -191,6 +206,10 @@ impl Parser {
                     g.not_exists.push(self.group(depth + 1)?);
                 }
                 Some(_) => {
+                    if self.triples == MAX_TRIPLES {
+                        return Err(self.err(&format!("more than {MAX_TRIPLES} triple patterns")));
+                    }
+                    self.triples += 1;
                     g.triples.push(self.triple()?);
                     // Optional dot separator.
                     if self.peek() == Some(&Token::Dot) {
@@ -296,6 +315,23 @@ mod tests {
         assert!(parse(&chain(MAX_GROUP_DEPTH)).is_ok());
         let err = parse(&chain(MAX_GROUP_DEPTH + 1)).unwrap_err();
         assert!(err.message.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn triple_count_is_capped_at_max_triples() {
+        // Triples count across groups: MAX_TRIPLES in all parses, one more
+        // is a positioned error wherever it sits.
+        let query = |top: usize, in_minus: usize| {
+            format!(
+                "SELECT ?x WHERE {{ {}MINUS {{ {}}} }}",
+                "e:0 r:0 ?x . ".repeat(top),
+                "e:1 r:0 ?x . ".repeat(in_minus)
+            )
+        };
+        assert!(parse(&query(MAX_TRIPLES - 1, 1)).is_ok());
+        let err = parse(&query(MAX_TRIPLES - 1, 2)).unwrap_err();
+        assert!(err.message.contains("triple patterns"), "{err}");
+        assert!(parse(&query(MAX_TRIPLES, 1)).is_err());
     }
 
     #[test]

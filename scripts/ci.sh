@@ -214,11 +214,12 @@ echo "==> contended smoke (one execution permit, four clients)"
 echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
 # Snapshot boot must answer exactly like the TSV boot it was built from.
 # Build a snapshot from the trained artifacts above, inspect it, then run
-# the daemon/load_gen drill twice booting from the snapshot alone: once at
-# full precision (bit-identity gate: load_gen verifies every answer
-# against its local TSV-loaded reference, so `"mismatches":0` proves the
-# two boot paths agree) and once quantized to i16 (liveness + protocol
-# gate; quantized rankings are covered by the rank-equivalence tests).
+# the daemon/load_gen drill twice booting from the snapshot alone, at full
+# precision and quantized to i16. Both legs are bit-identity gates:
+# load_gen verifies every answer against its local TSV-loaded reference
+# scored at the daemon's precision, so `"mismatches":0` proves the two
+# boot paths agree and that the sharded quantized top-k equals the
+# full-vector quantized ranking.
 (
     cd "$OBS_TMP"
     "$ROOT/target/release/halk" \
@@ -229,22 +230,13 @@ echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
         snapshot inspect --snap m.snap > inspect.txt
     grep -q 'snapshot version' inspect.txt
     snap_body() {
-        # stderr to a file: the i16 leg logs every (expected) quantized
-        # score difference against load_gen's f32 reference — and exits
-        # nonzero for the same reason, so only the f32 leg may fail here.
         "$ROOT/target/release/load_gen" \
             --addr "$ADDR" --graph g.tsv --model model \
-            --duration-ms 2000 --clients 4 \
-            > "loadgen_snap_$precision.json" \
-            2> "loadgen_snap_$precision.err" || [ "$precision" = i16 ]
-        if [ "$precision" = f32 ]; then
-            grep -q '"mismatches":0' "loadgen_snap_$precision.json"
-        else
-            # Quantized rankings are gated by the rank-equivalence tests;
-            # here the gates are liveness and a clean protocol run.
-            grep -q '"server_errors":0' "loadgen_snap_$precision.json"
-            grep -q '"io_errors":0' "loadgen_snap_$precision.json"
-        fi
+            --duration-ms 2000 --clients 4 --precision "$precision" \
+            > "loadgen_snap_$precision.json"
+        grep -q '"mismatches":0' "loadgen_snap_$precision.json"
+        grep -q '"server_errors":0' "loadgen_snap_$precision.json"
+        grep -q '"io_errors":0' "loadgen_snap_$precision.json"
     }
     for precision in f32 i16; do
         with_daemon "serve_snap_$precision" snap_body -- \
