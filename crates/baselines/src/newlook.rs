@@ -4,9 +4,8 @@
 //! A query is an axis-aligned box `(center, offset)` in `R^d`. NewLook is
 //! the strongest baseline on difference structures (Tables I–II), but its
 //! box difference is inherently lossy — removing the middle of an interval
-//! cannot be expressed by one interval (Fig. 5a; `BoxSeg::difference_lossy`
-//! in `halk-geometry` demonstrates the failure in closed form) — and its
-//! attention operates on raw coordinate values. No negation (§IV-A: the
+//! cannot be expressed by one interval (Fig. 5a) — and its attention
+//! operates on raw coordinate values. No negation (§IV-A: the
 //! universal set has no box).
 
 use crate::embedder::{embed_plan, forward_loss, GeomOps};

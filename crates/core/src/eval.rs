@@ -53,12 +53,13 @@ pub fn evaluate_structure<M: QueryModel + Sync + ?Sized>(
 
 /// [`evaluate_structure`] on an explicit pool. Bit-identical metrics at any
 /// thread count: candidate queries are sampled sequentially in fixed-size
-/// chunks (the RNG stream is the sequential one), answer-splitting and
-/// scoring of a chunk run in parallel, and results are accepted in attempt
-/// order until `n_queries` are in — the same accepted set the sequential
-/// loop picks. Samples drawn past the final acceptance are discarded
-/// unobserved. Integer ranks are folded into the accumulator sequentially in
-/// that same order, so the f64 metric sums associate identically too.
+/// chunks (the RNG stream is the sequential one), answer-splitting of a
+/// chunk runs in parallel, candidates are accepted in attempt order until
+/// `n_queries` are in — the same accepted set the sequential loop picks —
+/// and only the accepted ones are scored, again in parallel. Samples drawn
+/// past the final acceptance are discarded unscored. Integer ranks are
+/// folded into the accumulator sequentially in that same order, so the f64
+/// metric sums associate identically too.
 pub fn evaluate_structure_pool<M: QueryModel + Sync + ?Sized>(
     model: &M,
     split: &DatasetSplit,
@@ -126,9 +127,11 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
 
         // One group per chunk (same structure ⇒ one skeleton): shapes are
         // resolved sequentially, so plan-cache lookups stay deterministic,
-        // then answer-splitting and scoring fan out on the executor's pool.
-        // Queries vary wildly in answer-set size, so use the dynamic
-        // splitter; it returns results in attempt order regardless.
+        // then answer-splitting fans out on the executor's pool. Queries
+        // vary wildly in answer-set size, so use the dynamic splitter; it
+        // returns results in attempt order regardless. Only the candidates
+        // accepted in that order (non-empty hard answers, up to the number
+        // still needed) are scored.
         phase = phase.next("eval_score");
         let score_start = std::time::Instant::now();
         let jobs: Vec<_> = candidates.iter().map(|q| (q, exec.shape_for(q))).collect();
@@ -136,28 +139,31 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
             Vec::new()
         } else {
             let _group = exec.group_span(jobs.len(), || None);
-            exec.pool().par_map_dyn(&jobs, |(query, shape)| {
-                let ans = split_set(shape, &PlanBindings::of(query), &split.valid, &split.test);
-                if ans.hard.is_empty() {
-                    return None;
-                }
+            let accepted: Vec<_> = exec
+                .pool()
+                .par_map_dyn(&jobs, |(query, shape)| {
+                    let ans = split_set(shape, &PlanBindings::of(query), &split.valid, &split.test);
+                    (!ans.hard.is_empty()).then_some((*query, ans))
+                })
+                .into_iter()
+                .flatten()
+                .take(n_queries - evaluated)
+                .collect();
+            exec.pool().par_map_dyn(&accepted, |(query, ans)| {
                 let t0 = std::time::Instant::now();
                 let scores = match &cache {
                     Some(c) => model.score_all_cached(query, c),
                     None => model.score_all(query),
                 };
                 let elapsed = t0.elapsed();
-                Some((filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed))
+                (filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed)
             })
         };
         halk_obs::histogram!("halk_eval_score_us").record(score_start.elapsed().as_micros() as u64);
 
         phase = phase.next("eval_rank");
         let rank_start = std::time::Instant::now();
-        for (ranks, elapsed) in scored.into_iter().flatten() {
-            if evaluated >= n_queries {
-                break;
-            }
+        for (ranks, elapsed) in scored {
             acc.push_ranks(&ranks);
             online += elapsed;
             evaluated += 1;
@@ -327,6 +333,56 @@ mod tests {
             m_trained > 2.0 * m_untrained,
             "training did not help: {m_trained} vs {m_untrained}"
         );
+    }
+
+    #[test]
+    fn eval_scores_only_accepted_queries() {
+        use crate::qmodel::ScoreCache;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting(HalkModel, AtomicUsize);
+        impl QueryModel for Counting {
+            fn name(&self) -> &'static str {
+                "Counting"
+            }
+            fn supports(&self, s: Structure) -> bool {
+                self.0.supports(s)
+            }
+            fn train_batch(&mut self, b: &[crate::qmodel::TrainExample]) -> f32 {
+                self.0.train_batch(b)
+            }
+            fn score_all(&self, q: &halk_logic::Query) -> Vec<f32> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.score_all(q)
+            }
+            fn n_entities(&self) -> usize {
+                self.0.n_entities()
+            }
+            fn score_cache(&self) -> Option<ScoreCache> {
+                self.0.score_cache()
+            }
+            fn score_all_cached(&self, q: &halk_logic::Query, c: &ScoreCache) -> Vec<f32> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.score_all_cached(q, c)
+            }
+        }
+        let (split, model) = setup();
+        let counting = Counting(model, AtomicUsize::new(0));
+        let mut cells = Vec::new();
+        for threads in [1, 4] {
+            for (s, n) in [(Structure::P1, 5), (Structure::P2, 40)] {
+                counting.1.store(0, Ordering::Relaxed);
+                let cell = evaluate_structure_pool(&counting, &split, s, n, 7, Pool::new(threads));
+                assert!(cell.n_queries > 0);
+                assert_eq!(
+                    counting.1.load(Ordering::Relaxed),
+                    cell.n_queries,
+                    "{s} threads={threads}"
+                );
+                cells.push((cell.metrics.mrr.to_bits(), cell.n_queries));
+            }
+        }
+        // Metric bits and query counts do not depend on the pool size.
+        assert_eq!(cells[..2], cells[2..]);
     }
 
     #[test]

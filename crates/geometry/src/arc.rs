@@ -204,8 +204,8 @@ impl Arc {
     /// Exact closed-form difference `self − other`: up to **two** arcs.
     ///
     /// This is precisely what a single box/interval embedding cannot express
-    /// (Fig. 5a of the paper — `BoxSeg::difference_lossy` must drop one
-    /// side); on the circle the result is representable exactly, which is
+    /// (Fig. 5a of the paper — one interval must drop one side); on the
+    /// circle the result is representable exactly, which is
     /// the geometric basis of HaLk's "closed-formed solutions for the
     /// difference operator" claim.
     pub fn difference_exact(&self, other: &Arc) -> (Option<Arc>, Option<Arc>) {

@@ -1,4 +1,4 @@
-//! Closed-form geometric primitives for HaLk and its baselines.
+//! Closed-form geometric primitives for HaLk.
 //!
 //! HaLk (ICDE 2023) embeds every knowledge-graph entity as a *point* on a
 //! circle of radius `ρ` and every sub-query as an *arc segment* on the same
@@ -9,24 +9,16 @@
 //! closed-form complement used to seed the negation operator (Eq. 13) —
 //! entirely free of any learning machinery so it can be tested exhaustively.
 //!
-//! Two sibling modules provide the geometric substrates of the baselines the
-//! paper compares against: axis-aligned [`boxes`] for NewLook (KDD 2021) and
-//! [`cone`] sectors for ConE (NeurIPS 2021).
-//!
 //! All functions here are scalar (one embedding dimension at a time); the
 //! model crates apply them element-wise over tensors, and the property tests
 //! in this crate pin down the invariants the learned operators must respect.
 
 pub mod angle;
 pub mod arc;
-pub mod boxes;
-pub mod cone;
 pub mod polar;
 
 pub use angle::{chord, norm_angle, signed_delta, TAU};
 pub use arc::Arc;
-pub use boxes::BoxSeg;
-pub use cone::ConeSeg;
 pub use polar::{g_squash, reg_atan2, to_polar, to_rect};
 
 /// Default circle radius `ρ` used throughout the paper (radius learning is

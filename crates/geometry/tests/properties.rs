@@ -4,8 +4,6 @@
 
 use halk_geometry::angle::{abs_delta, chord, norm_angle, signed_delta, TAU};
 use halk_geometry::arc::Arc;
-use halk_geometry::boxes::BoxSeg;
-use halk_geometry::cone::{wrap_pi, ConeSeg};
 use halk_geometry::polar::{g_squash, semantic_average, to_polar, to_rect};
 use proptest::prelude::*;
 
@@ -186,59 +184,5 @@ proptest! {
         let inter_len = a.intersect_exact(&b).map_or(0.0, |i| i.len);
         prop_assert!((diff_len + inter_len - a.len).abs() < 0.05,
             "lengths: diff {diff_len} + inter {inter_len} != {}", a.len);
-    }
-
-    #[test]
-    fn box_intersection_is_exact(c1 in -5.0f32..5.0, o1 in 0.0f32..3.0,
-                                 c2 in -5.0f32..5.0, o2 in 0.0f32..3.0,
-                                 x in -8.0f32..8.0) {
-        let a = BoxSeg::new(c1, o1);
-        let b = BoxSeg::new(c2, o2);
-        match a.intersect(&b) {
-            Some(i) => {
-                // Point is in the intersection iff in both (up to eps).
-                let in_both = a.contains(x) && b.contains(x);
-                if i.contains(x) {
-                    prop_assert!(a.contains(x) && b.contains(x));
-                } else if in_both {
-                    // allow boundary epsilon
-                    prop_assert!(i.dist_outside(x) < 1e-4);
-                }
-            }
-            None => prop_assert!(a.overlap_len(&b) < 1e-6),
-        }
-    }
-
-    #[test]
-    fn box_difference_result_inside_minuend(c1 in -5.0f32..5.0, o1 in 0.0f32..3.0,
-                                            c2 in -5.0f32..5.0, o2 in 0.0f32..3.0) {
-        let a = BoxSeg::new(c1, o1);
-        let b = BoxSeg::new(c2, o2);
-        let d = a.difference_lossy(&b);
-        prop_assert!(d.lo() >= a.lo() - 1e-4 && d.hi() <= a.hi() + 1e-4);
-    }
-
-    #[test]
-    fn cone_complement_partition(axis in any_angle(), ap in 0.0f32..std::f32::consts::PI,
-                                 theta in any_angle()) {
-        let c = ConeSeg::new(axis, ap);
-        let n = c.complement();
-        prop_assert!(c.contains(theta) || n.contains(theta));
-    }
-
-    #[test]
-    fn cone_wrap_pi_involution(theta in any_angle()) {
-        let w = wrap_pi(theta);
-        prop_assert!((wrap_pi(w) - w).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cone_dist_zero_inside(axis in any_angle(), ap in 0.01f32..3.0, theta in any_angle()) {
-        let c = ConeSeg::new(axis, ap);
-        if c.contains(theta) {
-            prop_assert_eq!(c.dist_outside(theta), 0.0);
-        } else {
-            prop_assert!(c.dist_outside(theta) > 0.0);
-        }
     }
 }

@@ -8,17 +8,23 @@
 //! group kernel fans out on, so this crate stays the single layer that
 //! ever spawns a thread.
 //! There are no persistent worker threads and no work-stealing deques:
-//! scoped threads are spawned per region (a few microseconds, amortized by
-//! region bodies that run for milliseconds), which keeps the runtime free of
-//! `unsafe`, global state and external crates.
+//! scoped threads are spawned per region, which keeps the runtime free of
+//! `unsafe`, global state and external crates. A spawn is not free next to
+//! a sub-millisecond region body (a serving sweep over an 8k-entity table
+//! is one), so the caller never just waits. Every combinator splits its
+//! input into at most `threads` shares and hands them to one private
+//! fork-join core, which follows the caller-share rule: **the calling
+//! thread runs share 0 itself, and each other share gets one scoped
+//! thread.** A `k`-share region spawns `k − 1` threads; `Pool::new(1)`,
+//! or a one-item input, spawns none.
 //!
 //! Determinism contract: every combinator returns results in **input
 //! order**, regardless of the thread count or the dynamic schedule, and
-//! `Pool::new(1)` executes the exact sequential loop (no scope, no spawn,
-//! no atomics). Callers that reduce the returned values in a fixed order
-//! therefore produce bit-identical floats at any thread count — the
-//! property the training and evaluation determinism suites pin down (see
-//! DESIGN.md §9).
+//! `Pool::new(1)` runs the whole input on the calling thread in input
+//! order (no scope, no spawn). Callers that reduce the returned values in
+//! a fixed order therefore produce bit-identical floats at any thread
+//! count — the property the training and evaluation determinism suites
+//! pin down (see DESIGN.md §9).
 //!
 //! Sizing: [`Pool::auto`] resolves, in order, a programmatic override
 //! ([`set_threads`], used by `--threads`), the `HALK_THREADS` environment
@@ -29,10 +35,10 @@
 //! ([`set_stats_hook`]) receives a [`PoolStats`] — region label, thread
 //! count, wall time and per-worker busy time — after every fork-join
 //! region, and a worker-exit hook ([`set_worker_exit_hook`]) runs as the
-//! last statement of every worker closure (`halk-core` points it at the
-//! trace-buffer flush, since scope exit does not wait for thread-local
-//! destructors). When no hook is installed the overhead per region is one
-//! relaxed atomic load.
+//! last statement of every share, the caller's included (`halk-core`
+//! points it at the trace-buffer flush, since scope exit does not wait for
+//! thread-local destructors). When no hook is installed the overhead per
+//! region is one relaxed atomic load.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -82,7 +88,8 @@ pub fn auto_threads() -> usize {
 pub struct PoolStats {
     /// The pool's label (see [`Pool::labeled`]); `"pool"` by default.
     pub region: &'static str,
-    /// Number of workers the region actually used (≤ the pool size).
+    /// Number of shares the region ran (≤ the pool size); worker 0 is the
+    /// calling thread.
     pub workers: usize,
     /// Wall-clock time of the whole region, nanoseconds.
     pub wall_ns: u64,
@@ -111,7 +118,7 @@ pub fn set_stats_hook(hook: Option<fn(&PoolStats)>) {
 }
 
 /// Installs (or clears, with `None`) the worker-exit hook, called as the
-/// last statement of every pool worker closure.
+/// last statement of every share a region runs (the caller's included).
 pub fn set_worker_exit_hook(hook: Option<fn()>) {
     if let Ok(mut h) = WORKER_EXIT_HOOK.lock() {
         *h = hook;
@@ -124,8 +131,8 @@ fn hooks_enabled() -> bool {
     HOOKS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Runs the worker-exit hook if installed. Workers call this (via
-/// [`hooks_enabled`] gating) right before their closure returns.
+/// Runs the worker-exit hook if installed. Every share calls this (via
+/// [`hooks_enabled`] gating) right before it returns.
 fn run_worker_exit() {
     let hook = WORKER_EXIT_HOOK.lock().ok().and_then(|h| *h);
     if let Some(f) = hook {
@@ -162,7 +169,7 @@ impl RegionObs {
     }
 
     /// Records worker `w`'s busy time and runs the worker-exit hook.
-    /// Callers pass `Some(started)` captured at closure entry.
+    /// Callers pass the instant captured at share entry.
     fn worker_done(&self, w: usize, started: Instant) {
         let ns = started.elapsed().as_nanos() as u64;
         if let Some(slot) = self.busy.get(w) {
@@ -225,172 +232,102 @@ impl Pool {
         self.threads
     }
 
-    /// True when this pool runs everything inline on the caller's thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Maps `f` over `items`, returning results in input order. Items are
-    /// split into one contiguous chunk per worker (static schedule — right
-    /// for uniform-cost items). With one thread (or one item) this is a
-    /// plain sequential `map` on the calling thread.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len());
-        let obs = RegionObs::begin(self.label, workers.max(1));
-        if workers <= 1 {
-            let out: Vec<R> = items.iter().map(f).collect();
-            if let Some(o) = obs {
-                o.worker_done(0, o.start);
-                o.finish(1);
+    /// The one fork-join core behind every combinator: runs `run(w, task)`
+    /// for each task `w` and returns the results in task order. Task 0 runs
+    /// inline on the calling thread and each other task gets one scoped
+    /// thread, so `k` tasks spawn `k − 1` threads; one task (or none) opens
+    /// no scope at all. Every share, the caller's included, records its
+    /// busy time as worker `w` and ends with the worker-exit hook.
+    fn fork<T: Send, R: Send>(&self, tasks: Vec<T>, run: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+        let workers = tasks.len().max(1);
+        let obs = RegionObs::begin(self.label, workers);
+        let share = |w: usize, task: T| match &obs {
+            None => run(w, task),
+            Some(o) => {
+                let started = Instant::now();
+                let out = run(w, task);
+                o.worker_done(w, started);
+                out
             }
-            return out;
-        }
-        let mut per_chunk: Vec<Vec<R>> = Vec::with_capacity(workers);
-        let chunk = items.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(w, c)| {
-                    let (f, obs) = (&f, &obs);
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        let out = c.iter().map(f).collect::<Vec<R>>();
-                        if let Some(o) = obs {
-                            o.worker_done(w, started);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            per_chunk.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("par_map worker panicked")),
-            );
-        });
+        };
+        let mut tasks = tasks.into_iter();
+        let out = match (tasks.next(), tasks.len()) {
+            (None, _) => Vec::new(),
+            (Some(first), 0) => vec![share(0, first)],
+            (Some(first), rest) => std::thread::scope(|s| {
+                let share = &share;
+                let handles: Vec<_> = tasks
+                    .enumerate()
+                    .map(|(i, task)| s.spawn(move || share(i + 1, task)))
+                    .collect();
+                let mut out = Vec::with_capacity(rest + 1);
+                out.push(share(0, first));
+                out.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("pool worker panicked")),
+                );
+                out
+            }),
+        };
         if let Some(o) = obs {
             o.finish(workers);
         }
-        per_chunk.into_iter().flatten().collect()
+        out
     }
 
     /// Shard-affine fan-out: runs `f(s)` once for every shard index
     /// `0..n_shards`, with a *stable* contiguous shard→worker assignment
-    /// (worker `w` owns shards `w * per .. (w + 1) * per`). Unlike
-    /// [`Pool::par_map_dyn`] there is no work stealing — a shard always
-    /// lands on the same worker for a given `(n_shards, threads)` pair, so
-    /// shard-local state (trig tables, heaps) stays cache- and, later,
-    /// NUMA-resident. Results come back indexed by shard. One thread (or
-    /// one shard) runs exactly sequentially.
+    /// (worker `w` owns shards `w * per .. (w + 1) * per`, and worker 0 is
+    /// the calling thread). Unlike [`Pool::par_map_dyn`] there is no work
+    /// stealing — a shard always lands on the same worker for a given
+    /// `(n_shards, threads)` pair, so shard-local state (trig tables, heaps)
+    /// stays cache- and, later, NUMA-resident. Results come back indexed by
+    /// shard. One thread (or one shard) runs exactly sequentially.
     pub fn par_shards<R, F>(&self, n_shards: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.threads.min(n_shards);
-        let obs = RegionObs::begin(self.label, workers.max(1));
-        if workers <= 1 {
-            let out: Vec<R> = (0..n_shards).map(f).collect();
-            if let Some(o) = obs {
-                o.worker_done(0, o.start);
-                o.finish(1);
-            }
-            return out;
-        }
-        let per = n_shards.div_ceil(workers);
-        let mut per_worker: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (f, obs) = (&f, &obs);
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        let lo = w * per;
-                        let hi = (lo + per).min(n_shards);
-                        let out = (lo..hi).map(f).collect::<Vec<R>>();
-                        if let Some(o) = obs {
-                            o.worker_done(w, started);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            per_worker.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("par_shards worker panicked")),
-            );
-        });
-        if let Some(o) = obs {
-            o.finish(workers);
-        }
-        per_worker.into_iter().flatten().collect()
+        let per = n_shards.div_ceil(self.threads).max(1);
+        let ranges: Vec<_> = (0..n_shards)
+            .step_by(per)
+            .map(|lo| lo..(lo + per).min(n_shards))
+            .collect();
+        self.fork(ranges, |_, range| range.map(&f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
-    /// Like [`Pool::par_map`] but with a dynamic splitter: workers claim
-    /// items one at a time off a shared atomic counter, so uneven per-item
-    /// costs balance automatically. Results still come back in input order.
+    /// Maps `f` over `items` with a dynamic splitter: workers claim items
+    /// one at a time off a shared atomic counter, so uneven per-item costs
+    /// balance automatically. Results still come back in input order.
     pub fn par_map_dyn<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.threads.min(items.len());
-        let obs = RegionObs::begin(self.label, workers.max(1));
-        if workers <= 1 {
-            let out: Vec<R> = items.iter().map(f).collect();
-            if let Some(o) = obs {
-                o.worker_done(0, o.start);
-                o.finish(1);
-            }
-            return out;
-        }
         let next = AtomicUsize::new(0);
-        let mut per_worker: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (f, next, obs) = (&f, &next, &obs);
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        let mut claimed = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            claimed.push((i, f(item)));
-                        }
-                        if let Some(o) = obs {
-                            o.worker_done(w, started);
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            per_worker.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("par_map_dyn worker panicked")),
-            );
-        });
-        if let Some(o) = obs {
-            o.finish(workers);
-        }
-        // Scatter the claimed (index, result) pairs back into input order.
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
+        let workers = self.threads.min(items.len());
+        let mut claimed: Vec<(usize, R)> = self
+            .fork(vec![(); workers], |_, ()| {
+                let mut claimed = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
+                        break claimed;
+                    };
+                    claimed.push((i, f(item)));
+                }
+            })
             .into_iter()
-            .map(|r| r.expect("every index claimed exactly once"))
-            .collect()
+            .flatten()
+            .collect();
+        // Put the claimed (index, result) pairs back into input order.
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        claimed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Maps `f(index, &mut item)` over `items` in parallel, returning the
@@ -404,108 +341,17 @@ impl Pool {
         R: Send,
         F: Fn(usize, &mut T) -> R + Sync,
     {
-        let len = items.len();
-        let workers = self.threads.min(len);
-        let obs = RegionObs::begin(self.label, workers.max(1));
-        if workers <= 1 {
-            let out: Vec<R> = items
-                .iter_mut()
+        let chunk = items.len().div_ceil(self.threads).max(1);
+        let chunks: Vec<&mut [T]> = items.chunks_mut(chunk).collect();
+        self.fork(chunks, |ci, c| {
+            c.iter_mut()
                 .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-            if let Some(o) = obs {
-                o.worker_done(0, o.start);
-                o.finish(1);
-            }
-            return out;
-        }
-        let chunk = len.div_ceil(workers);
-        let mut per_chunk: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, c)| {
-                    let (f, obs) = (&f, &obs);
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        let out = c
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(j, item)| f(ci * chunk + j, item))
-                            .collect::<Vec<R>>();
-                        if let Some(o) = obs {
-                            o.worker_done(ci, started);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            per_chunk.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("par_map_mut worker panicked")),
-            );
-        });
-        if let Some(o) = obs {
-            o.finish(workers);
-        }
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Runs `f(chunk_index, chunk)` over fixed-size mutable chunks of
-    /// `data` in parallel (the last chunk may be short). Chunk boundaries
-    /// depend only on `chunk_size`, never on the thread count, so writes
-    /// land identically at any parallelism — the entity-sharded scoring
-    /// path relies on this.
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk_size: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let n_chunks = data.len().div_ceil(chunk_size);
-        let workers = self.threads.min(n_chunks);
-        let obs = RegionObs::begin(self.label, workers.max(1));
-        if workers <= 1 {
-            for (i, c) in data.chunks_mut(chunk_size).enumerate() {
-                f(i, c);
-            }
-            if let Some(o) = obs {
-                o.worker_done(0, o.start);
-                o.finish(1);
-            }
-            return;
-        }
-        let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_size).enumerate().collect();
-        let per_worker = chunks.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let mut w = 0usize;
-            while !chunks.is_empty() {
-                let group: Vec<(usize, &mut [T])> =
-                    chunks.drain(..per_worker.min(chunks.len())).collect();
-                let (f, obs) = (&f, &obs);
-                s.spawn(move || {
-                    let started = Instant::now();
-                    for (i, c) in group {
-                        f(i, c);
-                    }
-                    if let Some(o) = obs {
-                        o.worker_done(w, started);
-                    }
-                });
-                w += 1;
-            }
-        });
-        if let Some(o) = obs {
-            o.finish(workers);
-        }
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Self::auto()
+                .map(|(j, item)| f(ci * chunk + j, item))
+                .collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -519,18 +365,6 @@ mod tests {
     #[test]
     fn pool_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert!(Pool::new(1).is_sequential());
-        assert!(!Pool::new(2).is_sequential());
-    }
-
-    #[test]
-    fn par_map_matches_sequential_at_any_thread_count() {
-        let items: Vec<i64> = (0..97).collect();
-        let expect: Vec<i64> = items.iter().map(|x| x * x - 3).collect();
-        for t in THREADS {
-            let got = Pool::new(t).par_map(&items, |x| x * x - 3);
-            assert_eq!(got, expect, "threads={t}");
-        }
     }
 
     #[test]
@@ -571,28 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_covers_all_chunks_with_stable_boundaries() {
-        for t in THREADS {
-            let mut data = vec![0usize; 41];
-            Pool::new(t).par_chunks_mut(&mut data, 8, |ci, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = ci * 8 + j;
-                }
-            });
-            // Every slot holds its own global index: chunk boundaries are a
-            // function of chunk_size alone.
-            assert_eq!(data, (0..41).collect::<Vec<_>>(), "threads={t}");
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = vec![];
-        assert!(Pool::new(4).par_map(&empty, |x| *x).is_empty());
+        assert!(Pool::new(4).par_shards(0, |s| s).is_empty());
         assert!(Pool::new(4).par_map_dyn(&empty, |x| *x).is_empty());
-        assert_eq!(Pool::new(4).par_map(&[9u32], |x| x + 1), vec![10]);
+        assert_eq!(Pool::new(4).par_map_dyn(&[9u32], |x| x + 1), vec![10]);
         let mut one = [5u32];
-        Pool::new(4).par_chunks_mut(&mut one, 3, |_, c| c[0] += 1);
+        Pool::new(4).par_map_mut(&mut one, |_, x| *x += 1);
         assert_eq!(one, [6]);
     }
 
@@ -645,7 +464,7 @@ mod tests {
         set_stats_hook(Some(hook));
         let got = Pool::new(1)
             .labeled("par_hook_seq_test")
-            .par_map(&[7u32, 8], |x| x + 1);
+            .par_map_dyn(&[7u32, 8], |x| x + 1);
         set_stats_hook(None);
         assert_eq!(got, vec![8, 9]);
         assert_eq!(SEQ_WORKERS.load(Ordering::SeqCst), 1);
@@ -660,7 +479,7 @@ mod tests {
         set_worker_exit_hook(Some(on_exit));
         let before = EXITS.load(Ordering::SeqCst);
         let items: Vec<u32> = (0..16).collect();
-        Pool::new(4).par_map(&items, |x| *x);
+        Pool::new(4).par_map_dyn(&items, |x| *x);
         set_worker_exit_hook(None);
         // Other tests' pool regions may add to the count concurrently;
         // at least this region's four workers must have reported.
@@ -681,6 +500,17 @@ mod tests {
         assert_eq!(ids[0], ids[1]);
         assert_eq!(ids[2], ids[3]);
         assert_ne!(ids[0], ids[2]);
+    }
+
+    #[test]
+    fn first_share_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = Pool::new(2).par_shards(2, |_| std::thread::current().id());
+        assert_eq!(ids[0], caller);
+        assert_ne!(ids[1], caller);
+        // A one-thread pool spawns nothing: every item runs on the caller.
+        let ids = Pool::new(1).par_shards(5, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

@@ -244,13 +244,15 @@ echo "==> snapshot smoke (build + inspect + serve --snapshot, f32 and i16)"
     done
 )
 
-echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads)"
+echo "==> executor smoke (one batch core under train/eval/serve, 1, 2 and 4 threads)"
 # Training, evaluation and serving each run their own group kernel on one
 # shared batch executor (DESIGN.md §15: caches, plan cache, pool, group
 # instrumentation); this drill runs all three surfaces at a strictly
-# sequential and a 4-thread pool. Thread count is a scheduling knob only
-# (DESIGN.md §9): the two training runs must produce bit-identical
-# checkpoints, the two eval runs byte-identical tables, and load_gen's
+# sequential, a 2-thread and a 4-thread pool. Two is the benchmark's pool
+# size and the case where a fork runs one share on the caller and spawns
+# exactly one thread. Thread count is a scheduling knob only (DESIGN.md
+# §9): the training runs must produce bit-identical checkpoints, the
+# eval runs byte-identical tables, and load_gen's
 # `"mismatches":0` pins every served answer — grouped by serve's drain with
 # a non-default --batch-cap — to the one-shot reference.
 (
@@ -264,7 +266,7 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
         # load_gen copies it into the summary.
         grep -q '"batch_cap":4' "loadgen_exec_$threads.json"
     }
-    for threads in 1 4; do
+    for threads in 1 2 4; do
         HALK_THREADS=$threads "$ROOT/target/release/halk" \
             train --graph g.tsv --out "model_exec_$threads" --steps 20 --dim 16
         HALK_THREADS=$threads HALK_SCALE=smoke "$ROOT/target/release/exp_table1_2" \
@@ -276,11 +278,13 @@ echo "==> executor smoke (one batch core under train/eval/serve, 1 and 4 threads
     done
     # The executor's fixed-shard gradient reduction makes training
     # bit-reproducible across pool sizes: identical checkpoints, byte for
-    # byte.
-    cmp model_exec_1/params.ckpt model_exec_4/params.ckpt
-    # Eval accepts candidates in attempt order and folds ranks sequentially,
-    # so the metrics table is byte-identical across pool sizes too.
-    cmp table1_2_exec_1.json table1_2_exec_4.json
+    # byte. Eval accepts candidates in attempt order and folds ranks
+    # sequentially, so the metrics table is byte-identical across pool
+    # sizes too.
+    for threads in 2 4; do
+        cmp model_exec_1/params.ckpt "model_exec_$threads/params.ckpt"
+        cmp table1_2_exec_1.json "table1_2_exec_$threads.json"
+    done
 )
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
