@@ -19,7 +19,10 @@
 //! the full-vector top-k at the same precision). With `--faults` it
 //! additionally runs an adversarial side
 //! channel: mid-request disconnects, slowloris writers, malformed and
-//! oversized frames, and connection bursts past the admission limit.
+//! oversized frames, connection bursts past the admission limit, and
+//! query shapes that expand exponentially (a diamond pattern, an
+//! intersection of `UNION`s), each of which must come back as
+//! `ERR bad_query` or it counts as a mismatch.
 //!
 //! Prints one JSON summary line (latency quantiles from a `halk-obs`
 //! histogram, shed/error counts, and `"mismatches"` which must be 0) and
@@ -339,14 +342,38 @@ fn client_loop(
 // Fault injection
 // ---------------------------------------------------------------------------
 
+/// Two small ASKs whose patterns expand exponentially: a 22-level diamond
+/// (`?v_i` forks into `?a_i`, `?b_i` and rejoins at `?v_{i+1}`; ~2^22 tree
+/// nodes) and an intersection of 24 two-way `UNION`s on `?x` (2^24 DNF
+/// branches). The Adaptor's caps must turn both into `ERR bad_query`.
+fn adversarial_shapes() -> [String; 2] {
+    let mut diamond = String::from("SELECT ?x WHERE { e:0 r:0 ?v0 . ");
+    for i in 0..22 {
+        let j = i + 1;
+        diamond.push_str(&format!(
+            "?v{i} r:0 ?a{i} . ?v{i} r:1 ?b{i} . ?a{i} r:0 ?v{j} . ?b{i} r:1 ?v{j} . "
+        ));
+    }
+    diamond.push_str("?v22 r:0 ?x . }");
+    let mut unions = String::from("SELECT ?x WHERE { ");
+    for i in 0..24 {
+        unions.push_str(&format!("{{ e:{i} r:0 ?x . }} UNION {{ e:{i} r:1 ?x . }} "));
+    }
+    unions.push('}');
+    [diamond, unions]
+}
+
 /// One adversarial pass: malformed frame, oversized header, mid-request
-/// disconnect, slowloris dribble, and a connection burst. Every probe is
+/// disconnect, slowloris dribble, a panicking request, the exponential
+/// query shapes, and a connection burst. Every probe but the shapes is
 /// fire-and-forget; the daemon must survive them all (the main clients
-/// keep verifying answers concurrently).
+/// keep verifying answers concurrently), and a shape answered with
+/// anything but `ERR bad_query` is a mismatch.
 fn fault_loop(addr: &str, stop: &AtomicBool, tally: &Tally, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let shapes = adversarial_shapes();
     while !stop.load(Ordering::Relaxed) {
-        match rng.gen_range(0..6u32) {
+        match rng.gen_range(0..7u32) {
             // Garbage inside a well-formed frame.
             0 => {
                 if let Ok(mut s) = TcpStream::connect(addr) {
@@ -386,6 +413,28 @@ fn fault_loop(addr: &str, stop: &AtomicBool, tally: &Tally, seed: u64) {
             4 => {
                 if let Ok(mut c) = Client::connect(addr) {
                     let _ = c.ask(AskEngine::Exact, 1, 1_000, "__panic__");
+                }
+            }
+            // Exponential query shapes: rejected by the Adaptor's caps
+            // while the session prepares them, before admission.
+            5 => {
+                if let Ok(mut c) = Client::connect(addr) {
+                    for sparql in &shapes {
+                        match c.ask(AskEngine::Exact, 1, 1_000, sparql) {
+                            Ok(Response::Error {
+                                kind: ErrorKind::BadQuery,
+                                ..
+                            }) => {}
+                            Ok(resp) => {
+                                tally.mismatches.fetch_add(1, Ordering::Relaxed);
+                                eprintln!("load_gen: MISMATCH on an exponential shape: {resp:?}");
+                            }
+                            Err(_) => {
+                                tally.io_errors.fetch_add(1, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    }
                 }
             }
             // Burst: a volley of simultaneous connections to push past

@@ -3,7 +3,8 @@
 //! HaLk measures every distance through *chord lengths* (`2ρ·sin(Δθ/2)`,
 //! Eq. 9 and Eq. 16 of the paper) precisely because chords are immune to the
 //! 2π-periodicity that breaks naive angle subtraction. The helpers here are
-//! the single source of truth for wrapping, signed differences and chords.
+//! the single source of truth for wrapping, angular distances and chords,
+//! plus the squashing function `g(·)` that keeps raw outputs on the circle.
 
 /// The full turn, `2π`, as `f32`.
 pub const TAU: f32 = std::f32::consts::TAU;
@@ -31,18 +32,10 @@ pub fn norm_angle(theta: f32) -> f32 {
     }
 }
 
-/// Signed minimal difference `a - b`, wrapped into `(-π, π]`.
-///
-/// This is the angular displacement you would rotate through to get from `b`
-/// to `a` along the shorter way around the circle.
-///
-/// ```
-/// use halk_geometry::angle::signed_delta;
-/// use std::f32::consts::PI;
-/// assert!((signed_delta(0.1, 2.0 * PI - 0.1) - 0.2).abs() < 1e-6);
-/// ```
+/// Signed minimal difference `a - b`, wrapped into `(-π, π]`: the angular
+/// displacement from `b` to `a` along the shorter way around the circle.
 #[inline]
-pub fn signed_delta(a: f32, b: f32) -> f32 {
+fn signed_delta(a: f32, b: f32) -> f32 {
     let mut d = norm_angle(a) - norm_angle(b);
     if d > std::f32::consts::PI {
         d -= TAU;
@@ -68,22 +61,12 @@ pub fn chord(a: f32, b: f32, rho: f32) -> f32 {
     2.0 * rho * ((a - b) * 0.5).sin().abs()
 }
 
-/// Chord length subtended by an angular span `delta` (around any base point).
+/// The squashing function `g(x) = π·tanh(λx) + π` of Eq. 3, mapping any real
+/// activation into the open interval `(0, 2π)` so it is always a legal angle
+/// or arc angle.
 #[inline]
-pub fn chord_of_span(delta: f32, rho: f32) -> f32 {
-    2.0 * rho * (delta * 0.5).sin().abs()
-}
-
-/// Converts an arclength on a circle of radius `rho` to the subtended angle.
-#[inline]
-pub fn arclen_to_angle(len: f32, rho: f32) -> f32 {
-    len / rho
-}
-
-/// Converts a subtended angle to an arclength on a circle of radius `rho`.
-#[inline]
-pub fn angle_to_arclen(alpha: f32, rho: f32) -> f32 {
-    alpha * rho
+pub fn g_squash(x: f32, lambda: f32) -> f32 {
+    std::f32::consts::PI * (lambda * x).tanh() + std::f32::consts::PI
 }
 
 #[cfg(test)]
@@ -154,9 +137,28 @@ mod tests {
     }
 
     #[test]
-    fn arclen_angle_roundtrip() {
-        let rho = 2.5;
-        let len = 3.3;
-        assert!((angle_to_arclen(arclen_to_angle(len, rho), rho) - len).abs() < 1e-6);
+    fn g_squash_range_is_open_zero_two_pi() {
+        // Open interval (0, 2π) in exact arithmetic; tanh saturates to ±1 in
+        // f32 for huge inputs, so the closed bounds are the testable ones.
+        for &x in &[-1e6f32, -3.0, -0.1, 0.0, 0.1, 3.0, 1e6] {
+            let y = g_squash(x, 1.0);
+            assert!((0.0..=TAU).contains(&y), "g({x}) = {y}");
+        }
+        assert!(g_squash(-3.0, 1.0) > 0.0 && g_squash(3.0, 1.0) < TAU);
+        assert!((g_squash(0.0, 1.0) - PI).abs() < 1e-6);
+    }
+
+    #[test]
+    fn g_squash_is_monotone() {
+        let ys: Vec<f32> = (-10..=10).map(|i| g_squash(i as f32 * 0.5, 0.7)).collect();
+        for w in ys.windows(2) {
+            assert!(w[1] > w[0]);
+        }
+    }
+
+    #[test]
+    fn g_squash_lambda_controls_scale() {
+        // Larger λ saturates faster.
+        assert!(g_squash(1.0, 5.0) > g_squash(1.0, 0.5));
     }
 }

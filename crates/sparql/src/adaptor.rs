@@ -10,9 +10,11 @@
 //!
 //! Supported shape: patterns must flow *towards* the target (each variable
 //! is the object of its defining triples), and the join graph must be
-//! acyclic — the computation-graph restriction of §II-A.
+//! acyclic — the computation-graph restriction of §II-A. The tree it builds
+//! is capped at [`MAX_QUERY_NODES`] nodes and its DNF at
+//! [`MAX_DNF_BRANCHES`] branches per sub-query.
 
-use crate::parser::{Group, SelectQuery, Term};
+use crate::parser::{Group, SelectQuery, Term, MAX_DNF_BRANCHES, MAX_QUERY_NODES};
 use halk_kg::{EntityId, RelationId};
 use halk_logic::Query;
 use std::fmt;
@@ -29,6 +31,11 @@ pub enum AdaptError {
     BlockTargetMismatch(String),
     /// A triple uses an entity in object position (only variables flow).
     GroundObject,
+    /// The computation tree would pass [`MAX_QUERY_NODES`] nodes.
+    TooManyNodes,
+    /// A sub-query expands to this many DNF branches (saturating), more
+    /// than [`MAX_DNF_BRANCHES`].
+    TooManyBranches(usize),
 }
 
 impl fmt::Display for AdaptError {
@@ -43,6 +50,13 @@ impl fmt::Display for AdaptError {
                 )
             }
             AdaptError::GroundObject => write!(f, "object positions must be variables"),
+            AdaptError::TooManyNodes => {
+                write!(f, "pattern expands past {MAX_QUERY_NODES} operator nodes")
+            }
+            AdaptError::TooManyBranches(n) => write!(
+                f,
+                "a sub-query expands to {n} DNF branches, more than {MAX_DNF_BRANCHES}"
+            ),
         }
     }
 }
@@ -55,21 +69,72 @@ impl std::error::Error for AdaptError {}
 /// `MINUS` blocks subtract from the SELECT variable; `UNION` and
 /// `FILTER NOT EXISTS` blocks attach to whichever variable their own
 /// patterns bind (normally the target). Every block must bind the variable
-/// it is checked against or the mapping fails.
+/// it is checked against or the mapping fails, and so does a query past
+/// [`MAX_QUERY_NODES`] or [`MAX_DNF_BRANCHES`].
 pub fn adapt(q: &SelectQuery) -> Result<Query, AdaptError> {
     let group = &q.where_clause;
-    let positive = build_var(group, &q.target, &mut Vec::new())?;
-    if group.minus.is_empty() {
-        return Ok(positive);
-    }
-    let mut parts = vec![positive];
-    for m in &group.minus {
-        if !binds(m, &q.target) {
-            return Err(AdaptError::BlockTargetMismatch(q.target.clone()));
+    let mut nodes = 0;
+    let positive = build_var(group, &q.target, &mut Vec::new(), &mut nodes)?;
+    let query = if group.minus.is_empty() {
+        positive
+    } else {
+        charge(&mut nodes, 1)?;
+        let mut parts = vec![positive];
+        for m in &group.minus {
+            if !binds(m, &q.target) {
+                return Err(AdaptError::BlockTargetMismatch(q.target.clone()));
+            }
+            parts.push(build_var(m, &q.target, &mut Vec::new(), &mut nodes)?);
         }
-        parts.push(build_var(m, &q.target, &mut Vec::new())?);
+        Query::Difference(parts)
+    };
+    let mut widest = 0;
+    dnf_branches(&query, &mut widest);
+    if widest > MAX_DNF_BRANCHES {
+        return Err(AdaptError::TooManyBranches(widest));
     }
-    Ok(Query::Difference(parts))
+    Ok(query)
+}
+
+/// Counts `n` more tree nodes against [`MAX_QUERY_NODES`]. A node that
+/// recurses is counted before it recurses, so no call runs past the cap.
+fn charge(nodes: &mut usize, n: usize) -> Result<(), AdaptError> {
+    *nodes += n;
+    if *nodes > MAX_QUERY_NODES {
+        Err(AdaptError::TooManyNodes)
+    } else {
+        Ok(())
+    }
+}
+
+/// The number of DNF branches `q` compiles to, counted without expanding
+/// (saturating); `widest` keeps the largest count of any sub-query. An
+/// intersection multiplies its children's counts, a union adds them, a
+/// difference keeps its minuend's, and a negation (De Morgan) is one
+/// conjunction.
+fn dnf_branches(q: &Query, widest: &mut usize) -> usize {
+    let n = match q {
+        Query::Anchor(_) => 1,
+        Query::Projection { input, .. } => dnf_branches(input, widest),
+        Query::Union(qs) => qs
+            .iter()
+            .fold(0usize, |n, q| n.saturating_add(dnf_branches(q, widest))),
+        Query::Intersection(qs) => qs
+            .iter()
+            .fold(1usize, |n, q| n.saturating_mul(dnf_branches(q, widest))),
+        Query::Difference(qs) => {
+            for q in &qs[1..] {
+                dnf_branches(q, widest);
+            }
+            dnf_branches(&qs[0], widest)
+        }
+        Query::Negation(inner) => {
+            dnf_branches(inner, widest);
+            1
+        }
+    };
+    *widest = (*widest).max(n);
+    n
 }
 
 /// Whether a group binds `var` (has a triple with `?var` in object
@@ -84,8 +149,14 @@ fn binds(group: &Group, var: &str) -> bool {
         || group.not_exists.iter().any(|g| binds(g, var))
 }
 
-/// Builds the computation tree for `var` within `group`.
-fn build_var(group: &Group, var: &str, in_progress: &mut Vec<String>) -> Result<Query, AdaptError> {
+/// Builds the computation tree for `var` within `group`, counting its nodes
+/// into `nodes`.
+fn build_var(
+    group: &Group,
+    var: &str,
+    in_progress: &mut Vec<String>,
+    nodes: &mut usize,
+) -> Result<Query, AdaptError> {
     if in_progress.iter().any(|v| v == var) {
         return Err(AdaptError::CyclicPattern(var.to_string()));
     }
@@ -100,8 +171,14 @@ fn build_var(group: &Group, var: &str, in_progress: &mut Vec<String>) -> Result<
                 (subj, Term::Var(obj)) if obj == var => {
                     let rel = RelationId(t.relation);
                     let q = match subj {
-                        Term::Entity(e) => Query::atom(EntityId(*e), rel),
-                        Term::Var(sv) => build_var(group, sv, in_progress)?.project(rel),
+                        Term::Entity(e) => {
+                            charge(nodes, 2)?;
+                            Query::atom(EntityId(*e), rel)
+                        }
+                        Term::Var(sv) => {
+                            charge(nodes, 1)?;
+                            build_var(group, sv, in_progress, nodes)?.project(rel)
+                        }
                     };
                     branches.push(q);
                 }
@@ -114,12 +191,13 @@ fn build_var(group: &Group, var: &str, in_progress: &mut Vec<String>) -> Result<
             if !alts.iter().any(|g| binds(g, var)) {
                 continue;
             }
+            charge(nodes, 1)?;
             let mut unioned = Vec::with_capacity(alts.len());
             for alt in alts {
                 if !binds(alt, var) {
                     return Err(AdaptError::BlockTargetMismatch(var.to_string()));
                 }
-                unioned.push(build_var(alt, var, &mut Vec::new())?);
+                unioned.push(build_var(alt, var, &mut Vec::new(), nodes)?);
             }
             branches.push(Query::Union(unioned));
         }
@@ -127,7 +205,8 @@ fn build_var(group: &Group, var: &str, in_progress: &mut Vec<String>) -> Result<
             if !binds(ne, var) {
                 continue;
             }
-            let inner = build_var(ne, var, &mut Vec::new())?;
+            charge(nodes, 1)?;
+            let inner = build_var(ne, var, &mut Vec::new(), nodes)?;
             branches.push(inner.negate());
         }
 
@@ -137,6 +216,7 @@ fn build_var(group: &Group, var: &str, in_progress: &mut Vec<String>) -> Result<
         Ok(if branches.len() == 1 {
             branches.into_iter().next().expect("one branch")
         } else {
+            charge(nodes, 1)?;
             Query::Intersection(branches)
         })
     })();

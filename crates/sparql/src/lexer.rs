@@ -86,12 +86,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             }
             '?' => {
                 let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && (bytes[j] as char).is_alphanumeric()
-                    || j < bytes.len() && bytes[j] == b'_'
-                {
-                    j += 1;
-                }
+                let j = word_end(input, start, false);
                 if j == start {
                     return Err(LexError {
                         pos: i,
@@ -103,14 +98,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             }
             _ if c.is_ascii_alphabetic() => {
                 let start = i;
-                let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_alphanumeric()
-                        || bytes[j] == b':'
-                        || bytes[j] == b'_')
-                {
-                    j += 1;
-                }
+                let j = word_end(input, start, true);
                 let word = &input[start..j];
                 let tok = match word.to_ascii_uppercase().as_str() {
                     "SELECT" => Token::Select,
@@ -143,14 +131,25 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 i = j;
             }
             _ => {
+                let c = input[i..].chars().next().expect("i is a char boundary");
                 return Err(LexError {
                     pos: i,
                     message: format!("unexpected character '{c}'"),
-                })
+                });
             }
         }
     }
     Ok(tokens)
+}
+
+/// End of the name that starts at byte `from` (a char boundary): the run
+/// of alphanumeric characters and `_`, plus `:` when `colon` is set.
+/// Walks whole characters, so a multi-byte character never splits.
+fn word_end(input: &str, from: usize, colon: bool) -> usize {
+    input[from..]
+        .char_indices()
+        .find(|&(_, c)| !(c.is_alphanumeric() || c == '_' || colon && c == ':'))
+        .map_or(input.len(), |(k, _)| from + k)
 }
 
 #[cfg(test)]
@@ -201,6 +200,20 @@ mod tests {
         assert!(err2.message.contains("variable"));
         let err3 = tokenize("e:notanumber").unwrap_err();
         assert!(err3.message.contains("entity"));
+    }
+
+    #[test]
+    fn multibyte_characters_never_split() {
+        // Names run over whole characters; a character that cannot start
+        // a token is reported as itself.
+        let toks = tokenize("?µé_1 ?x").unwrap();
+        assert_eq!(toks[0], Token::Var("µé_1".into()));
+        assert!(tokenize("SELéCT").unwrap_err().message.contains("SELéCT"));
+        assert!(tokenize("?x 字").unwrap_err().message.contains('字'));
+        assert!(tokenize("?\u{FFFD}")
+            .unwrap_err()
+            .message
+            .contains("variable"));
     }
 
     #[test]

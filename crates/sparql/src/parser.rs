@@ -17,7 +17,8 @@
 //! serve's frame limit and would otherwise overflow a thread's stack.
 //! The Adaptor recurses once per chained triple, and the `Query` it builds
 //! nests as deep, so the triple count is capped too, at [`MAX_TRIPLES`],
-//! before anything is adapted.
+//! before anything is adapted. The Adaptor itself enforces
+//! [`MAX_QUERY_NODES`] and [`MAX_DNF_BRANCHES`] on what it builds.
 
 use crate::lexer::{tokenize, LexError, Token};
 use std::fmt;
@@ -32,6 +33,22 @@ pub const MAX_GROUP_DEPTH: usize = 64;
 /// [`ParseError`], so a chain of triples can never drive the Adaptor's
 /// per-triple recursion past a thread's stack.
 pub const MAX_TRIPLES: usize = 256;
+
+/// Most operator nodes the Adaptor may build for one query. It rebuilds a
+/// variable's subtree at every use, so a pattern that forks and rejoins
+/// (a diamond) doubles its tree per level; the Adaptor stops with an
+/// [`AdaptError`](crate::AdaptError) as soon as its count passes this cap,
+/// so its work is bounded by the cap, not by the tree it would have built.
+/// A tree-shaped pattern needs at most a few nodes per triple.
+pub const MAX_QUERY_NODES: usize = 16 * MAX_TRIPLES;
+
+/// Most DNF branches any sub-query of an adapted query may expand to. An
+/// intersection of `k` two-way `UNION`s expands to `2^k` branches at plan
+/// compile time; the Adaptor counts branches bottom-up before any
+/// expansion and rejects a wider query with an
+/// [`AdaptError`](crate::AdaptError). One `UNION` with an alternative per
+/// triple still fits.
+pub const MAX_DNF_BRANCHES: usize = MAX_TRIPLES;
 
 /// A subject/object position: variable or grounded entity.
 #[derive(Debug, Clone, PartialEq, Eq)]
