@@ -23,9 +23,11 @@
 //!   group kernel fans out on (`par_map_mut` for training shards,
 //!   `par_map_dyn` for eval answer-splitting and scoring, `par_shards`
 //!   inside [`sharded_top_k_timed`](crate::shard::sharded_top_k_timed)
-//!   for serving sweeps). The thread that calls the kernel — the training
-//!   step, the eval driver, the serve session — runs the first share
-//!   itself, so a `k`-thread pool spawns `k − 1` threads per fork.
+//!   for serving sweeps, which fork only when big enough to pay for the
+//!   spawn and otherwise run on a one-thread pool under the same label).
+//!   The thread that calls the kernel — the training step, the eval
+//!   driver, the serve session — runs the first share itself, so a
+//!   `k`-thread pool spawns `k − 1` threads per fork.
 //!   Thread count is a scheduling knob only; every surface's contract is
 //!   bit-identical results at any setting.
 //! * **Observability.** Every group goes through [`Executor::group_span`],

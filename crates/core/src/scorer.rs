@@ -665,6 +665,11 @@ impl ArcScorer {
         self.dim
     }
 
+    /// Number of DNF branches: the kernel passes each scored row costs.
+    pub fn n_branches(&self) -> usize {
+        self.branches.len()
+    }
+
     /// Scores every entity of `trig` into `out` (cleared and refilled; lower
     /// is better; unions take the min across branches). Entities with no
     /// branch score `f32::INFINITY`, matching the scalar fold.

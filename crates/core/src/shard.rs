@@ -168,6 +168,33 @@ impl ShardedTrig {
     }
 }
 
+/// Row × branch cells (entity rows times the DNF branches summed over a
+/// group's scorers) from which a sweep forks its shards across the pool;
+/// a smaller sweep runs every shard in order on the calling thread. A fork
+/// pays only when a core is idle, and under a closed loop every core is
+/// already busy running a session, so the spawn and join are pure cost
+/// there. Median µs per sweep on the 2-vCPU host (`dim` 32, 2 shards, one
+/// branch, top-10; "alone" = one caller, "busy" = two callers at once):
+///
+/// | rows   | alone inline | alone forked | busy inline | busy forked |
+/// |--------|--------------|--------------|-------------|-------------|
+/// |  8 000 |          229 |          189 |         243 |  310 (+27%) |
+/// | 16 000 |          485 |          330 |         496 |  613 (+24%) |
+/// | 32 000 |          977 |          603 |       1 013 | 1 145 (+13%) |
+/// | 64 000 |        2 278 |        1 160 |       2 229 | 2 372 (+6%) |
+///
+/// The fork costs a busy host a near-constant 65–140 µs, so its share of
+/// the sweep halves between 16k and 32k cells while an idle core's gain
+/// grows to 2×. The constant sits at that crossover: `halk_8k`'s one- and
+/// two-branch requests run inline, and `halk_64k`'s sweeps fork.
+const FORK_MIN_CELLS: usize = 32_768;
+
+/// Whether a sweep over `rows` entity rows in `n_shards` shards, under
+/// `branches` DNF branches summed over its group, forks onto `pool`.
+fn forks(pool: &Pool, n_shards: usize, rows: usize, branches: usize) -> bool {
+    pool.threads() > 1 && n_shards > 1 && rows.saturating_mul(branches) >= FORK_MIN_CELLS
+}
+
 /// One query's merged result: the top-k `(entity, score)` pairs in
 /// ascending rank order plus the number of rows actually scored (the
 /// union of per-shard prefixes when a deadline fired; `n_entities` when
@@ -190,7 +217,10 @@ pub struct SweepTiming {
 /// `scorers[q]` and deadline `deadlines[q]`. Shards fan out across the
 /// pool ([`Pool::par_shards`]); within a shard the sweep is slice-major
 /// over the group so one hot trig slice serves every query before moving
-/// on — the "one kernel pass per shard" of skeleton batching. Deadlines
+/// on — the "one kernel pass per shard" of skeleton batching. A sweep
+/// under [`FORK_MIN_CELLS`] runs every shard in order on the calling
+/// thread instead (a one-thread pool under the same region label), so
+/// it spawns nothing. Deadlines
 /// are checked per query at every [`SCORE_SLICE`] boundary, never per
 /// entity; an expired query stops scoring on all shards while the rest of
 /// the group continues, and its rows-scored count is the union of the
@@ -220,6 +250,11 @@ pub fn sharded_top_k_timed(
     if nq == 0 {
         return (Vec::new(), SweepTiming::default());
     }
+
+    let branches = scorers.iter().map(ArcScorer::n_branches).sum();
+    let fork = forks(pool, sharded.n_shards(), sharded.n_entities(), branches);
+    let inline = Pool::new(1).labeled(pool.label());
+    let pool = if fork { pool } else { &inline };
 
     // Each shard returns its local heaps plus per-query rows scored.
     let t0 = std::time::Instant::now();
@@ -257,10 +292,16 @@ pub fn sharded_top_k_timed(
             }
             done += take;
         }
-        metrics::histogram("halk_shard_rows_scored").record(rows.iter().sum::<usize>() as u64);
+        halk_obs::histogram!("halk_shard_rows_scored").record(rows.iter().sum::<usize>() as u64);
         (heaps, rows)
     });
-    metrics::counter("halk_shard_sweeps_total").add(sharded.n_shards() as u64);
+    // Both halves are interned on the first sweep, so `/metrics` shows
+    // the split from then on; they sum to `halk_shard_sweeps_total`.
+    let shards = sharded.n_shards() as u64;
+    halk_obs::counter!("halk_shard_sweeps_total").add(shards);
+    let inline_total = halk_obs::counter!("halk_shard_sweeps_inline_total");
+    let forked_total = halk_obs::counter!("halk_shard_sweeps_forked_total");
+    if fork { forked_total } else { inline_total }.add(shards);
     let score_us = t0.elapsed().as_micros() as u64;
 
     // Coordinator merge-k: absorb every shard's heap for each query.
@@ -317,6 +358,20 @@ mod tests {
         assert_eq!(parts.range(0).len(), 3 * SCORE_SLICE);
         assert_eq!(parts.range(1).len(), 3 * SCORE_SLICE);
         assert_eq!(parts.range(2).len(), 2 * SCORE_SLICE);
+    }
+
+    #[test]
+    fn only_sweeps_past_the_crossover_fork() {
+        let pool = Pool::new(2);
+        // halk_8k's one- and two-branch requests stay on the caller.
+        assert!(!forks(&pool, 2, 8_000, 1));
+        assert!(!forks(&pool, 2, 8_000, 2));
+        // halk_64k's sweeps, and a batched group of 8 at 8k rows, fork.
+        assert!(forks(&pool, 2, 64_000, 1));
+        assert!(forks(&pool, 2, 8_000, 8));
+        // Nothing to fork onto: one thread or one shard.
+        assert!(!forks(&Pool::new(1), 2, 64_000, 1));
+        assert!(!forks(&pool, 1, 64_000, 1));
     }
 
     #[test]

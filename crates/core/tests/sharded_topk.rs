@@ -15,7 +15,9 @@
 //!    and merge-k over *arbitrary* (not just contiguous) partitions of a
 //!    tie-heavy score vector matches `top_k_indices` — the heap merge is
 //!    partition- and order-independent because (score, index) keys are
-//!    distinct.
+//!    distinct;
+//! 5. a group big enough to fork its shards across the pool matches the
+//!    same reference (every other sweep here runs inline).
 //!
 //! Scores from `ArcScorer` are finite and non-negative (2ρ · a min-fold of
 //! sums of absolute values), never `-0.0` or NaN, so `total_cmp` ordering
@@ -211,6 +213,47 @@ fn mixed_deadline_group_drops_only_the_expired_query() {
             let (hits, rows) = &got[q];
             assert_eq!(*rows, setup.n, "shards={shards} query {q}: rows scored");
             let want = reference(&setup.model, live, ks[q]);
+            assert_eq!(hits.len(), want.len(), "shards={shards} query {q}");
+            for (&(gi, gs), &(wi, ws)) in hits.iter().zip(&want) {
+                assert_eq!(gi, wi, "shards={shards} query {q}: entity");
+                assert_eq!(
+                    gs.to_bits(),
+                    ws.to_bits(),
+                    "shards={shards} query {q}: bits"
+                );
+            }
+        }
+    }
+}
+
+/// A group of eight queries over 5 000 rows is past the fork threshold
+/// (one-query sweeps over this table run inline), so on a two-thread pool
+/// its shards really fan out — and the forked sweep is still bit-identical
+/// to each query's full-vector reference.
+#[test]
+fn forked_group_sweep_is_bit_identical() {
+    let setup = setup();
+    let group: Vec<&halk_logic::Query> = setup.queries.iter().cycle().take(8).collect();
+    let scorers: Vec<_> = group.iter().map(|q| setup.model.scorer_for(q)).collect();
+    let ks: Vec<usize> = (0..group.len()).map(|q| 1 + 3 * q).collect();
+    let never = Deadline::never();
+    let deadlines = vec![&never; group.len()];
+    let pool = Pool::new(2);
+    let forked = halk_obs::metrics::counter("halk_shard_sweeps_forked_total");
+    for shards in [1, 2, 4] {
+        let sharded = setup.model.entity_shards_with(shards, Precision::F32);
+        let before = forked.get();
+        let (got, _) = sharded_top_k_timed(&pool, &sharded, &scorers, &ks, &deadlines, None);
+        if shards > 1 {
+            assert!(
+                forked.get() > before,
+                "shards={shards}: the sweep must fork"
+            );
+        }
+        for (q, query) in group.iter().enumerate() {
+            let (hits, rows) = &got[q];
+            assert_eq!(*rows, setup.n, "shards={shards} query {q}: rows scored");
+            let want = reference(&setup.model, query, ks[q]);
             assert_eq!(hits.len(), want.len(), "shards={shards} query {q}");
             for (&(gi, gs), &(wi, ws)) in hits.iter().zip(&want) {
                 assert_eq!(gi, wi, "shards={shards} query {q}: entity");

@@ -10,10 +10,13 @@
 //! There are no persistent worker threads and no work-stealing deques:
 //! scoped threads are spawned per region, which keeps the runtime free of
 //! `unsafe`, global state and external crates. A spawn is not free next to
-//! a sub-millisecond region body (a serving sweep over an 8k-entity table
-//! is one), so the caller never just waits. Every combinator splits its
-//! input into at most `threads` shares and hands them to one private
-//! fork-join core, which follows the caller-share rule: **the calling
+//! a sub-millisecond region body, so the caller never just waits, and
+//! serve's top-k sweep (`halk_core::shard`) forks only when the sweep is
+//! big enough to pay for the spawn; a smaller one runs on a one-thread
+//! pool. That choice is the caller's: this crate holds no fork policy, it
+//! runs the pool it is given. Every combinator splits its input into at
+//! most `threads` shares and hands them to one private fork-join core,
+//! which follows the caller-share rule: **the calling
 //! thread runs share 0 itself, and each other share gets one scoped
 //! thread.** A `k`-share region spawns `k − 1` threads; `Pool::new(1)`,
 //! or a one-item input, spawns none.

@@ -477,7 +477,8 @@ fn obs_endpoint_serves_metrics_and_healthz() {
     let g = small_graph(59);
     let t = g.triples()[0];
     let sparql = format!("SELECT ?x WHERE {{ e:{} r:{} ?x . }}", t.h.0, t.r.0);
-    let engine = Engine::new(g, None);
+    let model = HalkModel::new(&g, HalkConfig::tiny());
+    let engine = Engine::new(g, Some(model));
     let cfg = ServeConfig {
         obs_addr: Some("127.0.0.1:0".to_string()),
         ..fast_cfg()
@@ -493,9 +494,32 @@ fn obs_endpoint_serves_metrics_and_healthz() {
             other => panic!("unexpected {other:?}"),
         }
     }
+    // A one-query sweep over 800 rows is far below the fork threshold, so
+    // it runs its shards inline on the session thread.
+    let inline = halk_obs::metrics::counter("halk_shard_sweeps_inline_total");
+    let forked = halk_obs::metrics::counter("halk_shard_sweeps_forked_total");
+    let (inline0, forked0) = (inline.get(), forked.get());
+    match c.ask(AskEngine::Halk, 5, 0, &sparql).unwrap() {
+        Response::Scores { .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    assert!(
+        inline.get() > inline0,
+        "the small sweep must count as inline"
+    );
+    assert_eq!(forked.get(), forked0, "the small sweep must not fork");
 
     let metrics = http_get(&obs, "/metrics");
     assert!(metrics.starts_with("HTTP/1.0 200 OK\r\n"));
+    for split in [
+        "halk_shard_sweeps_inline_total",
+        "halk_shard_sweeps_forked_total",
+    ] {
+        assert!(
+            metrics.contains(&format!("# TYPE {split} counter")),
+            "the fork decision's split must be exposed: {split}"
+        );
+    }
     assert!(
         metrics.contains("halk_serve_requests_total"),
         "cumulative series must be exposed"

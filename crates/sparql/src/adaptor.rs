@@ -72,16 +72,16 @@ impl std::error::Error for AdaptError {}
 /// it is checked against or the mapping fails, and so does a query past
 /// [`MAX_QUERY_NODES`] or [`MAX_DNF_BRANCHES`].
 pub fn adapt(q: &SelectQuery) -> Result<Query, AdaptError> {
-    let group = &q.where_clause;
+    let scope = Scope::new(&q.where_clause);
     let mut nodes = 0;
-    let positive = build_var(group, &q.target, &mut Vec::new(), &mut nodes)?;
-    let query = if group.minus.is_empty() {
+    let positive = build_var(&scope, &q.target, &mut Vec::new(), &mut nodes)?;
+    let query = if scope.minus.is_empty() {
         positive
     } else {
         charge(&mut nodes, 1)?;
         let mut parts = vec![positive];
-        for m in &group.minus {
-            if !binds(m, &q.target) {
+        for m in &scope.minus {
+            if !binds(m.group, &q.target) {
                 return Err(AdaptError::BlockTargetMismatch(q.target.clone()));
             }
             parts.push(build_var(m, &q.target, &mut Vec::new(), &mut nodes)?);
@@ -94,6 +94,50 @@ pub fn adapt(q: &SelectQuery) -> Result<Query, AdaptError> {
         return Err(AdaptError::TooManyBranches(widest));
     }
     Ok(query)
+}
+
+/// A group with its defining triples sorted by the variable they define,
+/// built once per group, so each [`build_var`] visit binary-searches to
+/// its own variable's triples instead of scanning the group. Nested blocks
+/// are indexed the same way.
+struct Scope<'g> {
+    group: &'g Group,
+    /// `(var, subject, relation)` of every triple `subject relation ?var`
+    /// up to the group's first triple with an entity object, sorted by
+    /// variable and in pattern order within one.
+    defs: Vec<(&'g str, &'g Term, u32)>,
+    /// Whether some triple has an entity object, which fails every visit
+    /// once the defining triples before it are built.
+    ground: bool,
+    unions: Vec<Vec<Scope<'g>>>,
+    minus: Vec<Scope<'g>>,
+    not_exists: Vec<Scope<'g>>,
+}
+
+impl<'g> Scope<'g> {
+    fn new(group: &'g Group) -> Self {
+        let mut defs = Vec::with_capacity(group.triples.len());
+        let mut ground = false;
+        for t in &group.triples {
+            match &t.object {
+                Term::Entity(_) => {
+                    ground = true;
+                    break;
+                }
+                Term::Var(v) => defs.push((v.as_str(), &t.subject, t.relation)),
+            }
+        }
+        defs.sort_by_key(|&(v, _, _)| v); // stable: pattern order per variable
+        let scopes = |groups: &'g [Group]| groups.iter().map(Scope::new).collect();
+        Self {
+            group,
+            defs,
+            ground,
+            unions: group.unions.iter().map(|alts| scopes(alts)).collect(),
+            minus: scopes(&group.minus),
+            not_exists: scopes(&group.not_exists),
+        }
+    }
 }
 
 /// Counts `n` more tree nodes against [`MAX_QUERY_NODES`]. A node that
@@ -149,60 +193,58 @@ fn binds(group: &Group, var: &str) -> bool {
         || group.not_exists.iter().any(|g| binds(g, var))
 }
 
-/// Builds the computation tree for `var` within `group`, counting its nodes
+/// Builds the computation tree for `var` within `scope`, counting its nodes
 /// into `nodes`.
-fn build_var(
-    group: &Group,
-    var: &str,
-    in_progress: &mut Vec<String>,
+fn build_var<'g>(
+    scope: &Scope<'g>,
+    var: &'g str,
+    in_progress: &mut Vec<&'g str>,
     nodes: &mut usize,
 ) -> Result<Query, AdaptError> {
-    if in_progress.iter().any(|v| v == var) {
+    if in_progress.contains(&var) {
         return Err(AdaptError::CyclicPattern(var.to_string()));
     }
-    in_progress.push(var.to_string());
+    in_progress.push(var);
 
     let result = (|| {
         // Defining triples: (subject, rel, ?var).
         let mut branches: Vec<Query> = Vec::new();
-        for t in &group.triples {
-            match (&t.subject, &t.object) {
-                (_, Term::Entity(_)) => return Err(AdaptError::GroundObject),
-                (subj, Term::Var(obj)) if obj == var => {
-                    let rel = RelationId(t.relation);
-                    let q = match subj {
-                        Term::Entity(e) => {
-                            charge(nodes, 2)?;
-                            Query::atom(EntityId(*e), rel)
-                        }
-                        Term::Var(sv) => {
-                            charge(nodes, 1)?;
-                            build_var(group, sv, in_progress, nodes)?.project(rel)
-                        }
-                    };
-                    branches.push(q);
+        let first = scope.defs.partition_point(|&(v, _, _)| v < var);
+        for &(_, subj, rel) in scope.defs[first..].iter().take_while(|d| d.0 == var) {
+            let rel = RelationId(rel);
+            let q = match subj {
+                Term::Entity(e) => {
+                    charge(nodes, 2)?;
+                    Query::atom(EntityId(*e), rel)
                 }
-                _ => {} // triple defines another variable; reached recursively
-            }
+                Term::Var(sv) => {
+                    charge(nodes, 1)?;
+                    build_var(scope, sv, in_progress, nodes)?.project(rel)
+                }
+            };
+            branches.push(q);
+        }
+        if scope.ground {
+            return Err(AdaptError::GroundObject);
         }
 
         // Algebra blocks that bind this variable.
-        for alts in &group.unions {
-            if !alts.iter().any(|g| binds(g, var)) {
+        for alts in &scope.unions {
+            if !alts.iter().any(|a| binds(a.group, var)) {
                 continue;
             }
             charge(nodes, 1)?;
             let mut unioned = Vec::with_capacity(alts.len());
             for alt in alts {
-                if !binds(alt, var) {
+                if !binds(alt.group, var) {
                     return Err(AdaptError::BlockTargetMismatch(var.to_string()));
                 }
                 unioned.push(build_var(alt, var, &mut Vec::new(), nodes)?);
             }
             branches.push(Query::Union(unioned));
         }
-        for ne in &group.not_exists {
-            if !binds(ne, var) {
+        for ne in &scope.not_exists {
+            if !binds(ne.group, var) {
                 continue;
             }
             charge(nodes, 1)?;
