@@ -8,7 +8,7 @@
 //! Run with `cargo run --release -p halk-bench --bin exp_fig7_sparql`.
 
 use halk_bench::{save_json, RunObs, Scale};
-use halk_core::{train_model, HalkModel};
+use halk_core::{top_k_indices, train_model, HalkModel};
 use halk_kg::Dataset;
 use halk_logic::{answers, Structure};
 use halk_matching::Matcher;
@@ -74,13 +74,7 @@ fn main() {
     )
     .expect("training failed");
     let scores = halk.score_all(&query);
-    let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        scores[a as usize]
-            .partial_cmp(&scores[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let top: Vec<u32> = idx.into_iter().take(10).collect();
+    let top = top_k_indices(&scores, 10);
     println!("HaLk executor top-10: {top:?}");
     let hits = top
         .iter()

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p halk-bench --bin exp_table6_scalability`.
 
 use halk_bench::{save_json, RunObs, Scale, Table};
-use halk_core::{train_model, HalkModel};
+use halk_core::{top_k_indices, train_model, HalkModel};
 use halk_kg::Dataset;
 use halk_logic::{answers, Sampler, Structure};
 use halk_matching::{answer_accuracy, Matcher};
@@ -79,14 +79,10 @@ fn main() {
             let t0 = Instant::now();
             let scores = halk.score_all(&gq.query);
             hm += t0.elapsed().as_secs_f64() * 1e3;
-            let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-            idx.sort_by(|&a, &b| {
-                scores[a as usize]
-                    .partial_cmp(&scores[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let predicted: Vec<halk_kg::EntityId> =
-                idx.into_iter().take(k).map(halk_kg::EntityId).collect();
+            let predicted: Vec<halk_kg::EntityId> = top_k_indices(&scores, k)
+                .into_iter()
+                .map(halk_kg::EntityId)
+                .collect();
             ha += answer_accuracy(&predicted, &truth);
 
             let t1 = Instant::now();

@@ -23,10 +23,10 @@ mod args;
 use args::{ArgError, Args};
 use halk_core::{train_model, HalkConfig, HalkModel, Precision, TrainConfig, TrainError};
 use halk_kg::{generate, stats::GraphStats, tsv, Graph, SynthConfig};
-use halk_logic::plan::{execute_set, PlanBindings, PlanShape};
 use halk_logic::Structure;
 use halk_matching::Matcher;
-use halk_sparql::{sparql_to_query, SparqlError};
+use halk_obs::Deadline;
+use halk_serve::{AskEngine, Engine, Response};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,8 +48,9 @@ enum CliError {
     Train(TrainError),
     /// A model directory could not be written or read.
     Model { dir: String, error: io::Error },
-    /// The SPARQL query could not be understood.
-    Sparql(SparqlError),
+    /// The engine rejected the query: bad SPARQL, or an entity or
+    /// relation id outside the graph.
+    Query(String),
     /// Any other IO failure, with the path involved.
     Io { path: String, error: io::Error },
     /// A flag parsed but its value is out of range for this invocation
@@ -67,7 +68,7 @@ impl fmt::Display for CliError {
             CliError::Graph { path, error } => write!(f, "cannot read graph {path}: {error}"),
             CliError::Train(e) => write!(f, "training failed: {e}"),
             CliError::Model { dir, error } => write!(f, "model directory {dir}: {error}"),
-            CliError::Sparql(e) => write!(f, "bad SPARQL query: {e}"),
+            CliError::Query(detail) => write!(f, "bad SPARQL query: {detail}"),
             CliError::Io { path, error } => write!(f, "{path}: {error}"),
             CliError::Flag { flag, detail } => write!(f, "invalid --{flag}: {detail}"),
         }
@@ -88,9 +89,14 @@ impl From<TrainError> for CliError {
     }
 }
 
-impl From<SparqlError> for CliError {
-    fn from(e: SparqlError) -> Self {
-        CliError::Sparql(e)
+/// An engine reply that is not an answer: `prepare` and `execute` report
+/// every failure as a typed [`Response::Error`].
+impl From<Response> for CliError {
+    fn from(r: Response) -> Self {
+        match r {
+            Response::Error { detail, .. } => CliError::Query(detail),
+            other => CliError::Query(format!("unexpected engine reply {other:?}")),
+        }
     }
 }
 
@@ -403,43 +409,53 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
 fn cmd_ask(args: &Args) -> Result<(), CliError> {
     let g = load_graph(args)?;
     let sparql = args.required("sparql")?;
-    let engine = args.optional("engine").unwrap_or("exact");
+    let engine_name = args.optional("engine").unwrap_or("exact");
     let top: usize = args.parsed_or("top", 10)?;
-
-    let query = sparql_to_query(sparql)?;
-    println!("computation tree: {}", query.render());
-    match engine {
-        "exact" => {
-            let shape = PlanShape::compile(&query);
-            println!(
-                "compiled plan: {} slot(s), {} branch(es)",
-                shape.n_slots(),
-                shape.n_branches()
-            );
-            let ans = execute_set(&shape, &PlanBindings::of(&query), &g);
-            let shown: Vec<u32> = ans.iter().take(top).map(|e| e.0).collect();
-            println!("exact answers ({} total): {shown:?}", ans.len());
-        }
+    let (ask, model) = match engine_name {
+        "exact" | "match" => (AskEngine::Exact, None),
         "halk" => {
             let dir = args.required("model")?;
             let model = HalkModel::load(&g, Path::new(dir)).map_err(|error| CliError::Model {
                 dir: dir.to_string(),
                 error,
             })?;
-            let scores = model.score_all(&query);
-            println!("HaLk top-{top}:");
-            for e in halk_core::top_k_indices(&scores, top) {
-                println!("  e{e}  (distance {:.3})", scores[e as usize]);
-            }
-        }
-        "match" => {
-            let hits = Matcher::new(&g).answer(&query);
-            println!("matcher results (top {top}):");
-            for m in hits.iter().take(top) {
-                println!("  {}  (score {:.1})", m.entity, m.score);
-            }
+            (AskEngine::Halk, Some(model))
         }
         other => return Err(ArgError::BadValue("engine", other.into()).into()),
+    };
+
+    // The daemon's engine: `ask` and `serve` share one validation rule
+    // (ids inside the graph) and one answer path.
+    let engine = Engine::new(g, model);
+    let prepared = engine.prepare(ask, sparql)?;
+    let (query, shape) = prepared
+        .plan()
+        .expect("fault probes are off outside the drill");
+    println!("computation tree: {}", query.render());
+    if engine_name == "match" {
+        let hits = Matcher::new(engine.graph()).answer(query);
+        println!("matcher results (top {top}):");
+        for m in hits.iter().take(top) {
+            println!("  {}  (score {:.1})", m.entity, m.score);
+        }
+        return Ok(());
+    }
+    if ask == AskEngine::Exact {
+        println!(
+            "compiled plan: {} slot(s), {} branch(es)",
+            shape.n_slots(),
+            shape.n_branches()
+        );
+    }
+    match engine.execute_prepared(&prepared, top, &Deadline::never()) {
+        Response::Answers { total, ids } => println!("exact answers ({total} total): {ids:?}"),
+        Response::Scores { hits, .. } => {
+            println!("HaLk top-{top}:");
+            for (e, distance) in hits {
+                println!("  e{e}  (distance {distance:.3})");
+            }
+        }
+        other => return Err(other.into()),
     }
     Ok(())
 }
@@ -979,6 +995,40 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("--model"), "{err}");
+    }
+
+    #[test]
+    fn ask_rejects_out_of_range_ids_under_every_engine() {
+        let g = tmp("g_ask_ids.tsv");
+        let gs = g.to_str().unwrap();
+        run_line(&format!("gen --dataset nell --out {gs} --seed 5")).unwrap();
+        let model = tmp("model_ask_ids");
+        HalkModel::new(&tsv::load(&g).unwrap(), HalkConfig::tiny())
+            .save(&model)
+            .unwrap();
+        let ms = model.to_str().unwrap();
+        for engine in ["exact", "halk", "match"] {
+            for (sparql, id) in [
+                ("SELECT ?x WHERE { e:999999 r:0 ?x . }", "e:999999"),
+                ("SELECT ?x WHERE { e:0 r:99999 ?x . }", "r:99999"),
+            ] {
+                let err = run(vec![
+                    "ask".into(),
+                    "--graph".into(),
+                    gs.into(),
+                    "--model".into(),
+                    ms.into(),
+                    "--engine".into(),
+                    engine.into(),
+                    "--sparql".into(),
+                    sparql.into(),
+                ])
+                .unwrap_err();
+                assert!(matches!(err, CliError::Query(_)), "{engine}: {err}");
+                assert_eq!(err.exit_code(), ExitCode::FAILURE);
+                assert!(err.to_string().contains(id), "{engine}: {err}");
+            }
+        }
     }
 
     #[test]

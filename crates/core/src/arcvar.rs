@@ -32,14 +32,6 @@ impl ArcVar {
         tape.add(self.center, half)
     }
 
-    /// The concatenated `(start ‖ end)` pair — the coordinated combination
-    /// representation the projection/attention networks take as input.
-    pub fn start_end_concat(self, tape: &mut Tape, rho: f32) -> Var {
-        let s = self.start(tape, rho);
-        let e = self.end(tape, rho);
-        tape.concat_cols(&[s, e])
-    }
-
     /// Periodic `(start ‖ end)` features for the operator networks:
     /// `cos A_S ‖ sin A_S ‖ cos A_E ‖ sin A_E` (`B×4d`). Angles accumulate
     /// unboundedly over multi-hop rotations, and an MLP cannot generalize
@@ -94,16 +86,6 @@ pub fn chord(tape: &mut Tape, a: Var, b: Var, rho: f32) -> Var {
     tape.scale(abs, 2.0 * rho)
 }
 
-/// Chord length between a `B×d` angle tensor and a broadcast `1×d` row.
-pub fn chord_vs_row(tape: &mut Tape, batch: Var, row: Var, rho: f32) -> Var {
-    let neg_row = tape.neg(row);
-    let d = tape.add_row(batch, neg_row);
-    let half = tape.scale(d, 0.5);
-    let s = tape.sin(half);
-    let abs = tape.abs(s);
-    tape.scale(abs, 2.0 * rho)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +106,6 @@ mod tests {
         let g = halk_geometry::Arc::new(1.0, 0.8, 1.0);
         assert!((t.value(s).data[0] - g.start()).abs() < 1e-5);
         assert!((t.value(e).data[0] - g.end()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn concat_has_double_width() {
-        let mut t = Tape::new();
-        let c = t.input(Tensor::zeros(3, 4));
-        let l = t.input(Tensor::zeros(3, 4));
-        let arc = ArcVar { center: c, len: l };
-        let cat = arc.start_end_concat(&mut t, 1.0);
-        assert_eq!((t.value(cat).rows, t.value(cat).cols), (3, 8));
     }
 
     #[test]
@@ -161,21 +133,6 @@ mod tests {
         assert!((t.value(c).data[0] - expect).abs() < 1e-5);
         // Same physical angle shifted by 2π gives the same chord.
         assert!((t.value(c).data[0] - t.value(c).data[1]).abs() < 1e-4);
-    }
-
-    #[test]
-    fn chord_vs_row_broadcasts() {
-        let mut t = Tape::new();
-        let batch = t.input(Tensor::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]));
-        let row = t.input(Tensor::from_vec(1, 2, vec![0.5, 0.5]));
-        let c = chord_vs_row(&mut t, batch, row, 1.0);
-        for r in 0..2 {
-            for col in 0..2 {
-                let a = t.value(batch).get(r, col);
-                let expect = halk_geometry::chord(a, 0.5, 1.0);
-                assert!((t.value(c).get(r, col) - expect).abs() < 1e-5);
-            }
-        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod config;
 pub mod eval;
 pub mod exec;
 pub mod loss;
-pub mod lsh;
 pub mod model;
 pub mod obs;
 pub mod prune;
@@ -52,7 +51,6 @@ pub use eval::{
 };
 pub use exec::{ExecConfig, Executor, DEFAULT_BATCH_CAP};
 pub use halk_par::Pool;
-pub use lsh::EntityLsh;
 pub use model::HalkModel;
 pub use qmodel::{QueryModel, ScoreCache, TrainExample};
 pub use scorer::{

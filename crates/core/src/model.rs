@@ -29,7 +29,7 @@ use crate::exec::{ExecConfig, Executor};
 use crate::scorer::{ArcScorer, EntityTrig, Precision};
 use crate::shard::{ArcShards, ShardedTrig};
 use halk_geometry::Arc;
-use halk_kg::{EntityId, Graph, Grouping, RelationId};
+use halk_kg::{Graph, Grouping};
 use halk_logic::plan::{PlanBindings, PlanCache, PlanMasks, PlanOp, PlanShape};
 use halk_logic::Query;
 use halk_nn::{Act, GradBuffer, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
@@ -827,37 +827,24 @@ impl HalkModel {
         self.infer_tapes.lock().expect("inference tape pool").len()
     }
 
-    /// Reads the current (inference-time) arc of a single embedded branch —
-    /// exposed for diagnostics and the pruning engine.
-    pub fn entity_angle(&self, e: EntityId, dim: usize) -> f32 {
-        self.store.value(self.ent_center).get(e.index(), dim)
-    }
-
     /// The raw entity angle table (`n_entities × d`, row-major) — the input
     /// to [`EntityTrig::new`] and the subset scoring path.
     pub fn entity_table(&self) -> &Tensor {
         self.store.value(self.ent_center)
     }
 
-    /// Relation arc parameters for diagnostics.
-    pub fn relation_arc(&self, r: RelationId, dim: usize) -> (f32, f32) {
-        (
-            self.store.value(self.rel_center).get(r.index(), dim),
-            self.store.value(self.rel_len).get(r.index(), dim),
-        )
-    }
-
     // ------------------------------------------------------------ save/load
 
     /// Saves the model to a directory: `config.json` (hyper-parameters) and
-    /// `params.ckpt` (binary parameter + optimizer state). The architecture
+    /// `params.ckpt` (binary parameter + optimizer state), each written
+    /// crash-safely with [`halk_nn::checkpoint::write_atomic`]. The architecture
     /// and grouping are reconstructed deterministically from the config's
     /// seed at load time, so only parameters need to be stored.
     pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let cfg_json = serde_json::to_string_pretty(&self.cfg)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(dir.join("config.json"), cfg_json)?;
+        halk_nn::checkpoint::write_atomic(&dir.join("config.json"), cfg_json.as_bytes())?;
         halk_nn::checkpoint::save_file(&self.store, &dir.join("params.ckpt"))
     }
 
@@ -1176,7 +1163,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halk_kg::{generate, SynthConfig};
+    use halk_kg::{generate, EntityId, RelationId, SynthConfig};
     use halk_logic::{Sampler, Structure};
 
     fn setup() -> (Graph, HalkModel) {
@@ -1194,9 +1181,7 @@ mod tests {
         assert_eq!(tape.value(arc.len).data, vec![0.0; model.cfg.dim]);
         // Center equals the entity embedding.
         let c = tape.value(arc.center).clone();
-        for j in 0..model.cfg.dim {
-            assert_eq!(c.data[j], model.entity_angle(EntityId(5), j));
-        }
+        assert_eq!(c.data, model.entity_table().row(5));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   busy time and `sum` vs. `wall × workers` gives utilization);
 //! - `halk_pool_regions_total_<region>` — counter of regions executed.
 //!
+//! The three handles are interned once per region label, so after a
+//! label's first region the hook allocates nothing and takes no registry
+//! lock: every served sweep runs it.
+//!
 //! Both histograms are windowed, so a serving daemon also exposes their
 //! rolling `_window_sum`s; busy/wall over the window is the per-region
 //! load `halk top` prints. While the window layer is disarmed (every batch
@@ -26,7 +30,8 @@
 //! thread-local destructors, so without this a trace file read shortly
 //! after a region could miss the tail of a worker's events.
 
-use std::sync::Once;
+use halk_obs::metrics::{Counter, Histogram};
+use std::sync::{Once, OnceLock};
 
 /// Installs the `halk-par` → `halk-obs` observability hooks (idempotent).
 pub fn install() {
@@ -38,14 +43,57 @@ pub fn install() {
 }
 
 fn on_pool_stats(s: &halk_par::PoolStats) {
-    halk_obs::metrics::counter(&format!("halk_pool_regions_total_{}", s.region)).inc();
-    halk_obs::metrics::histogram(&format!("halk_pool_wall_us_{}", s.region))
-        .windowed()
-        .record(s.wall_ns / 1_000);
-    let busy = halk_obs::metrics::histogram(&format!("halk_pool_busy_us_{}", s.region)).windowed();
-    for &ns in &s.busy_ns {
-        busy.record(ns / 1_000);
+    match region_metrics(s.region) {
+        Some(m) => m.record(s),
+        None => RegionMetrics::new(s.region).record(s),
     }
+}
+
+/// The three interned handles of one region label.
+struct RegionMetrics {
+    region: &'static str,
+    regions: &'static Counter,
+    wall: &'static Histogram,
+    busy: &'static Histogram,
+}
+
+impl RegionMetrics {
+    /// Interns the three handles: formats their names and takes the
+    /// registry lock, so it runs once per label.
+    fn new(region: &'static str) -> RegionMetrics {
+        use halk_obs::metrics::{counter, histogram};
+        RegionMetrics {
+            region,
+            regions: counter(&format!("halk_pool_regions_total_{region}")),
+            wall: histogram(&format!("halk_pool_wall_us_{region}")).windowed(),
+            busy: histogram(&format!("halk_pool_busy_us_{region}")).windowed(),
+        }
+    }
+
+    fn record(&self, s: &halk_par::PoolStats) {
+        self.regions.inc();
+        self.wall.record(s.wall_ns / 1_000);
+        for &ns in &s.busy_ns {
+            self.busy.record(ns / 1_000);
+        }
+    }
+}
+
+/// Region labels with interned handles, filled in first-seen order and
+/// never emptied. The workspace uses a handful of labels; a label past
+/// this many interns its handles on every region.
+static REGIONS: [OnceLock<RegionMetrics>; 32] = [const { OnceLock::new() }; 32];
+
+/// The interned handles for `region`: a scan of filled slots, with no
+/// allocation and no registry lock once the label has been seen. The first
+/// region of a label claims the first empty slot; a racing claim for
+/// another label blocks on that slot's init, sees the other label and
+/// moves on, so a label never lands in two slots.
+fn region_metrics(region: &'static str) -> Option<&'static RegionMetrics> {
+    REGIONS.iter().find_map(|slot| {
+        let m = slot.get_or_init(|| RegionMetrics::new(region));
+        (m.region == region).then_some(m)
+    })
 }
 
 #[cfg(test)]

@@ -29,16 +29,6 @@ fn top_k_each(model: &HalkModel, scorers: &[ArcScorer], k: usize) -> Vec<Vec<u32
         .collect()
 }
 
-/// Top-`k` entity candidates for *one* query node, by embedding distance.
-pub fn top_k_candidates(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId> {
-    let scorer = model.scorer_for(query);
-    top_k_each(model, std::slice::from_ref(&scorer), k)
-        .remove(0)
-        .into_iter()
-        .map(EntityId)
-        .collect()
-}
-
 /// The candidate node set `S`: top-`k` candidates of every variable node of
 /// the computation tree (every sub-query root), plus all anchors. Every
 /// sub-query is scored in the same sweep over one entity-trig table.
@@ -86,31 +76,6 @@ mod tests {
         let g = generate(&SynthConfig::fb237_like(), &mut StdRng::seed_from_u64(50));
         let model = HalkModel::new(&g, HalkConfig::tiny());
         (g, model)
-    }
-
-    #[test]
-    fn top_k_returns_k_distinct_best() {
-        let (g, model) = setup();
-        let t = g.triples()[0];
-        let q = Query::atom(t.h, t.r);
-        let cands = top_k_candidates(&model, &q, 20);
-        assert_eq!(cands.len(), 20);
-        let mut sorted = cands.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 20, "duplicates in top-k");
-        // They are the globally best-scoring entities.
-        let scores = model.score_all(&q);
-        let worst_kept = cands
-            .iter()
-            .map(|e| scores[e.index()])
-            .fold(f32::MIN, f32::max);
-        let better_outside = scores
-            .iter()
-            .enumerate()
-            .filter(|(i, &s)| s < worst_kept && !cands.contains(&EntityId(*i as u32)))
-            .count();
-        assert_eq!(better_outside, 0);
     }
 
     #[test]

@@ -314,14 +314,10 @@ mod tests {
         let (g, mut model) = setup();
         let batch = examples(&g, Structure::P1, 8, 1);
         let probe = batch[0].positive;
-        let before: Vec<f32> = (0..model.cfg.dim)
-            .map(|j| model.entity_angle(probe, j))
-            .collect();
+        let before = model.entity_table().row(probe.index()).to_vec();
         let loss = model.train_batch(&batch);
         assert!(loss.is_finite() && loss > 0.0);
-        let after: Vec<f32> = (0..model.cfg.dim)
-            .map(|j| model.entity_angle(probe, j))
-            .collect();
+        let after = model.entity_table().row(probe.index());
         assert_ne!(before, after, "positive entity embedding did not move");
         assert_eq!(model.store.steps_taken(), 1);
     }

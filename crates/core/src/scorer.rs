@@ -23,8 +23,8 @@
 //! per block, and the sweep keeps one `[f32; LANES]` accumulator pair per
 //! block. Each lane performs exactly the one-entity sequence of
 //! mul/sub/abs/min/add in dim order, so every score is bit-identical to the
-//! row kernel ([`ArcScorer::score_rows_into`] still runs it) while the lane
-//! loop compiles to packed SIMD. The same `#[inline(always)]` body is
+//! row kernel ([`ArcScorer::score_rows_into`], the one-entity reference)
+//! while the lane loop compiles to packed SIMD. The same `#[inline(always)]` body is
 //! compiled twice, portable (SSE2 on x86-64) and under
 //! `#[target_feature(enable = "avx2")]`, and each sweep runs the AVX2 copy
 //! when the CPU has it. FMA stays off: fusing would change rounding.
@@ -252,7 +252,7 @@ impl EntityTrig {
     /// Precomputes trig for an `n×d` table of entity angles at full
     /// precision.
     pub fn new(table: &Tensor) -> Self {
-        Self::from_rows(table, 0..table.rows)
+        Self::from_rows_with(table, 0..table.rows, Precision::F32)
     }
 
     /// [`EntityTrig::new`] at an explicit storage precision.
@@ -260,20 +260,12 @@ impl EntityTrig {
         Self::from_rows_with(table, 0..table.rows, precision)
     }
 
-    /// Precomputes trig for the contiguous row range `rows` of a table —
-    /// the shard-local constructor: each arc shard owns the trig of its own
-    /// entity range and nothing else, so per-shard memory is bounded by the
-    /// shard size. Entry `i` of the result is row `rows.start + i` of the
-    /// table, element-for-element bit-identical to the same row of a
-    /// whole-table [`EntityTrig::new`].
-    pub fn from_rows(table: &Tensor, rows: std::ops::Range<usize>) -> Self {
-        Self::from_rows_with(table, rows, Precision::F32)
-    }
-
-    /// [`EntityTrig::from_rows`] at an explicit storage precision.
-    /// Quantization is per element, so the range invariant carries over:
-    /// entry `i` equals row `rows.start + i` of a whole-table build at the
-    /// same precision, element for element.
+    /// Precomputes trig for the contiguous row range `rows` of a table at
+    /// `precision` — the shard-local constructor: each arc shard owns the
+    /// trig of its own entity range and nothing else, so per-shard memory
+    /// is bounded by the shard size. Quantization is per element, so entry
+    /// `i` of the result equals row `rows.start + i` of a whole-table build
+    /// at the same precision, element for element.
     pub fn from_rows_with(
         table: &Tensor,
         rows: std::ops::Range<usize>,
@@ -721,10 +713,10 @@ impl ArcScorer {
         out
     }
 
-    /// Scores only the rows `ids` of an angle table (the LSH candidate
-    /// path), computing the per-row trig on the fly: `out[i]` is the score
-    /// of entity `ids[i]`. Runs the one-entity row kernel, bit-identical to
-    /// the same rows of a lane sweep over [`EntityTrig::new`]`(table)`.
+    /// Scores only the rows `ids` of an angle table, computing the per-row
+    /// trig on the fly: `out[i]` is the score of entity `ids[i]`. This is
+    /// the one-entity reference the lane kernel is pinned to: bit-identical
+    /// to the same rows of a lane sweep over [`EntityTrig::new`]`(table)`.
     pub fn score_rows_into(&self, table: &Tensor, ids: &[u32], out: &mut Vec<f32>) {
         assert_eq!(table.cols, self.dim, "entity/query dimensionality mismatch");
         out.clear();

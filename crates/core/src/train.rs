@@ -20,7 +20,7 @@ use halk_logic::{EntitySet, GroundedQuery, Sampler, Structure};
 use halk_nn::checkpoint;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -486,13 +486,6 @@ pub fn train_model<M: QueryModel + ?Sized>(
         start_step,
         interrupted,
     })
-}
-
-/// Convenience: uniformly random entity ids (used by harness warm-ups).
-pub fn random_entities(n_universe: usize, count: usize, rng: &mut impl Rng) -> Vec<u32> {
-    (0..count)
-        .map(|_| rng.gen_range(0..n_universe as u32))
-        .collect()
 }
 
 #[cfg(test)]

@@ -351,7 +351,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<ParamStore, CheckpointError> {
     Ok(store)
 }
 
-/// Retry policy for transient IO errors during [`save_file_with`].
+/// Retry policy for transient IO errors during [`write_atomic_with`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). Must be at least 1.
@@ -380,31 +380,34 @@ fn temp_sibling(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
+        .unwrap_or_else(|| "file".to_string());
     path.with_file_name(format!(".{name}.tmp"))
 }
 
-/// Writes a checkpoint file crash-safely: temp sibling + fsync + atomic
-/// rename, retrying transient IO errors per the default [`RetryPolicy`].
-pub fn save_file(store: &ParamStore, path: &Path) -> io::Result<()> {
-    save_file_with(store, path, &RetryPolicy::default(), &mut fault::RealIo)
+/// Writes `data` to `path` crash-safely: temp sibling `.<name>.tmp` +
+/// fsync + atomic rename + directory fsync, retrying transient IO errors
+/// per the default [`RetryPolicy`]. A crash or failure at any point leaves
+/// either the previous file or the new one, never a torn mix. Every
+/// durable artifact of the workspace (checkpoints, a model's
+/// `config.json`, snapshots) is written through it.
+pub fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, data, &RetryPolicy::default(), &mut fault::RealIo)
 }
 
-/// [`save_file`] with an explicit retry policy and IO layer (the latter so
-/// tests can inject faults).
-pub fn save_file_with(
-    store: &ParamStore,
+/// [`write_atomic`] with an explicit retry policy and IO layer (the latter
+/// so tests can inject faults).
+pub fn write_atomic_with(
     path: &Path,
+    data: &[u8],
     policy: &RetryPolicy,
     io: &mut dyn fault::CheckpointIo,
 ) -> io::Result<()> {
-    let data = to_bytes(store);
     let tmp = temp_sibling(path);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let result = io
-            .write_file(&tmp, &data)
+            .write_file(&tmp, data)
             .and_then(|()| io.rename(&tmp, path))
             .and_then(|()| match path.parent() {
                 Some(dir) if !dir.as_os_str().is_empty() => io.sync_dir(dir),
@@ -424,6 +427,11 @@ pub fn save_file_with(
     }
 }
 
+/// Writes a checkpoint file with [`write_atomic`].
+pub fn save_file(store: &ParamStore, path: &Path) -> io::Result<()> {
+    write_atomic(path, &to_bytes(store))
+}
+
 /// Reads a checkpoint file; decode defects surface as
 /// `io::ErrorKind::InvalidData` wrapping the [`CheckpointError`].
 pub fn load_file(path: &Path) -> io::Result<ParamStore> {
@@ -431,14 +439,14 @@ pub fn load_file(path: &Path) -> io::Result<ParamStore> {
     from_bytes(&data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Injectable IO layer for checkpoint writes, plus fault-injecting
+/// Injectable IO layer for [`write_atomic_with`], plus fault-injecting
 /// implementations used by the robustness tests.
 pub mod fault {
     use std::fs;
     use std::io::{self, Write};
     use std::path::Path;
 
-    /// The three filesystem operations `save_file` performs, in order.
+    /// The three filesystem operations `write_atomic` performs, in order.
     pub trait CheckpointIo {
         /// Create `path`, write `data` fully, and fsync it.
         fn write_file(&mut self, path: &Path, data: &[u8]) -> io::Result<()>;
@@ -705,7 +713,7 @@ mod tests {
             max_attempts: 3,
             backoff: Duration::ZERO,
         };
-        save_file_with(&s, &path, &policy, &mut io).unwrap();
+        write_atomic_with(&path, &to_bytes(&s), &policy, &mut io).unwrap();
         assert_eq!(io.writes, 3);
         assert!(stores_equal(&s, &load_file(&path).unwrap()));
     }
@@ -723,7 +731,8 @@ mod tests {
             max_attempts: 3,
             backoff: Duration::ZERO,
         };
-        let err = save_file_with(&sample_store(), &path, &policy, &mut io).unwrap_err();
+        let err =
+            write_atomic_with(&path, &to_bytes(&sample_store()), &policy, &mut io).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         assert_eq!(io.writes, 3);
     }
@@ -751,9 +760,38 @@ mod tests {
             max_attempts: 1,
             backoff: Duration::ZERO,
         };
-        save_file_with(&newer, &path, &policy, &mut io).unwrap_err();
+        write_atomic_with(&path, &to_bytes(&newer), &policy, &mut io).unwrap_err();
         // The destination still holds the complete previous checkpoint.
         assert!(stores_equal(&old, &load_file(&path).unwrap()));
+    }
+
+    #[test]
+    fn failed_atomic_rewrite_leaves_previous_file_intact() {
+        let dir = std::env::temp_dir().join("halk_write_atomic_fault");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("config.json");
+        write_atomic(&path, b"{\"dim\": 8}").unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            backoff: Duration::ZERO,
+        };
+        // A crash mid-write, then a rename that keeps failing past the
+        // retry budget: neither may touch the destination.
+        for mut io in [
+            fault::FaultyIo {
+                partial_write_then_crash: Some(4),
+                ..Default::default()
+            },
+            fault::FaultyIo {
+                transient_rename_failures: 5,
+                ..Default::default()
+            },
+        ] {
+            write_atomic_with(&path, b"{\"dim\": 16}", &policy, &mut io).unwrap_err();
+            assert_eq!(std::fs::read(&path).unwrap(), b"{\"dim\": 8}");
+            assert!(!temp_sibling(&path).exists());
+        }
     }
 
     #[test]
@@ -769,7 +807,7 @@ mod tests {
             max_attempts: 1,
             backoff: Duration::ZERO,
         };
-        save_file_with(&sample_store(), &path, &policy, &mut io).unwrap();
+        write_atomic_with(&path, &to_bytes(&sample_store()), &policy, &mut io).unwrap();
         let err = load_file(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

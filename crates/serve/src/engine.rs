@@ -79,6 +79,15 @@ enum PreparedKind {
 }
 
 impl PreparedAsk {
+    /// The parsed, validated query and its cached plan shape; `None` for a
+    /// fault probe.
+    pub fn plan(&self) -> Option<(&Query, &PlanShape)> {
+        match &self.kind {
+            PreparedKind::Query { query, shape, .. } => Some((query, shape)),
+            PreparedKind::Fault(_) => None,
+        }
+    }
+
     /// The serve batching rule: two asks share one kernel pass iff both
     /// are queries with the same cached `Arc<PlanShape>` pointer (the
     /// homogeneity guard `train_batch` uses; equal but separately compiled
@@ -491,7 +500,7 @@ impl Engine {
         out
     }
 
-    /// One-shot convenience (tests, CLI parity): prepare + execute.
+    /// One-shot convenience (tests): prepare + execute.
     pub fn execute(
         &self,
         engine: AskEngine,

@@ -55,8 +55,8 @@ use halk_kg::{Graph, Grouping, Triple};
 use halk_nn::checkpoint::crc32;
 use halk_nn::{ParamStore, Tensor};
 use std::fmt;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"HALKSNAP";
 /// Current (written) snapshot format version.
@@ -723,37 +723,10 @@ pub fn inspect_bytes(buf: &[u8]) -> Result<SnapshotMeta, SnapError> {
 
 // -------------------------------------------------------------------- files
 
-fn temp_sibling(path: &Path) -> PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "snapshot".to_string());
-    path.with_file_name(format!(".{name}.tmp"))
-}
-
-/// Writes a snapshot crash-safely: temp sibling + fsync + atomic rename,
+/// Writes a snapshot crash-safely with [`halk_nn::checkpoint::write_atomic`],
 /// so a crash mid-write leaves either the previous snapshot or none.
 pub fn write_file(path: &Path, graph: &Graph, model: &HalkModel) -> io::Result<()> {
-    let data = to_bytes(graph, model);
-    let tmp = temp_sibling(path);
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&data)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            // Directory fsync is a durability nicety; some platforms refuse
-            // to open directories, so a failure here is not fatal.
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    halk_nn::checkpoint::write_atomic(path, &to_bytes(graph, model))
 }
 
 /// Reads a snapshot file; decode defects surface as
@@ -958,7 +931,7 @@ mod tests {
         let path = dir.join("deploy.snap");
         let (graph, model) = small_deployment();
         write_file(&path, &graph, &model).unwrap();
-        assert!(!temp_sibling(&path).exists());
+        assert!(!dir.join(".deploy.snap.tmp").exists());
         let (g2, m2, _trig) = read_file(&path).unwrap();
         let q = probe_query(&graph);
         assert_eq!(model.score_all(&q), m2.score_all(&q));

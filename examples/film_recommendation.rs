@@ -7,7 +7,7 @@
 //! cargo run --release --example film_recommendation
 //! ```
 
-use halk::core::{train_model, HalkConfig, HalkModel, TrainConfig};
+use halk::core::{top_k_indices, train_model, HalkConfig, HalkModel, TrainConfig};
 use halk::kg::{EntityId, Graph, RelationId, Triple};
 use halk::logic::{answers, Query, Structure};
 use halk::matching::Matcher;
@@ -94,14 +94,8 @@ fn main() {
     )
     .expect("training failed");
     let scores = model.score_all(&query);
-    let mut ranked: Vec<u32> = (0..scores.len() as u32).collect();
-    ranked.sort_by(|&a, &b| {
-        scores[a as usize]
-            .partial_cmp(&scores[b as usize])
-            .expect("finite")
-    });
     println!("\nHaLk executor (top 3 by arc distance):");
-    for &e in ranked.iter().take(3) {
+    for e in top_k_indices(&scores, 3) {
         let mark = if exact.contains(EntityId(e)) {
             "✓"
         } else {

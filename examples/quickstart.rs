@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use halk::core::{train_model, HalkConfig, HalkModel, TrainConfig};
+use halk::core::{top_k_indices, train_model, HalkConfig, HalkModel, TrainConfig};
 use halk::kg::{generate, DatasetSplit, SynthConfig};
 use halk::logic::{answer_split, Query, Sampler, Structure};
 use rand::rngs::StdRng;
@@ -60,14 +60,8 @@ fn main() {
 
     // 4. Rank all entities by distance to the query's arc embedding.
     let scores = model.score_all(&gq.query);
-    let mut ranked: Vec<u32> = (0..scores.len() as u32).collect();
-    ranked.sort_by(|&a, &b| {
-        scores[a as usize]
-            .partial_cmp(&scores[b as usize])
-            .expect("finite scores")
-    });
     println!("HaLk top-10 candidates:");
-    for (i, &e) in ranked.iter().take(10).enumerate() {
+    for (i, e) in top_k_indices(&scores, 10).into_iter().enumerate() {
         let tag = if ans.easy.iter().chain(&ans.hard).any(|a| a.0 == e) {
             "✓ answer"
         } else {

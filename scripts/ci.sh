@@ -63,6 +63,14 @@ echo "==> observability smoke (traced train/eval + trace_check)"
         --metrics-out train_metrics.json
     test -s train_metrics.json
     test -s results/cli_train/manifest.json
+    # `halk ask` validates through the daemon's engine: an entity id past
+    # the graph is a typed error (exit 1) naming the id, never a panic
+    # (exit 101).
+    rc=0
+    "$ROOT/target/release/halk" ask --graph g.tsv \
+        --sparql 'SELECT ?x WHERE { e:999999 r:0 ?x . }' 2> ask_oob.err || rc=$?
+    test "$rc" -eq 1
+    grep -q 'e:999999' ask_oob.err
     HALK_LOG=debug HALK_SCALE=smoke "$ROOT/target/release/exp_table1_2" \
         --trace eval.jsonl --metrics-out eval_metrics.json
     test -s eval_metrics.json
