@@ -11,9 +11,9 @@
 //! group information, and no difference operator (§IV-A: "-" cells).
 
 use crate::embedder::{embed_plan, forward_loss, GeomOps};
-use halk_core::{HalkConfig, QueryModel, TrainExample};
+use halk_core::{ExecConfig, Executor, HalkConfig, QueryModel, TrainExample};
 use halk_kg::Graph;
-use halk_logic::plan::{PlanBindings, PlanCache};
+use halk_logic::plan::PlanBindings;
 use halk_logic::{Query, Structure};
 use halk_nn::{Act, Mlp, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -44,7 +44,7 @@ pub struct ConeModel {
     inter_att: Mlp,
     inter_ds_inner: Mlp,
     inter_ds_outer: Mlp,
-    plans: PlanCache,
+    exec: Executor,
 }
 
 impl ConeModel {
@@ -88,7 +88,7 @@ impl ConeModel {
             inter_att,
             inter_ds_inner,
             inter_ds_outer,
-            plans: PlanCache::new(),
+            exec: Executor::new(ExecConfig::model()),
         }
     }
 
@@ -99,7 +99,7 @@ impl ConeModel {
     /// Inference: per-dimension `(axis, aperture)` of each DNF branch,
     /// read off the cached compiled plan.
     fn embed_query_values(&self, query: &Query) -> Option<Vec<Vec<(f32, f32)>>> {
-        let shape = self.plans.shape_for(query);
+        let shape = self.exec.shape_for(query);
         let bindings = PlanBindings::of(query);
         let mut tape = Tape::forward_only();
         let roots = embed_plan(self, &mut tape, &shape, std::slice::from_ref(&bindings))?;
@@ -270,13 +270,11 @@ impl QueryModel for ConeModel {
     }
 
     fn train_batch(&mut self, batch: &[TrainExample]) -> f32 {
-        let (tape, loss) = forward_loss(self, &self.plans, batch, self.cfg.gamma);
-        let loss_val = tape.value(loss).item();
-        self.store.zero_grads();
-        tape.backward(loss, &mut self.store);
-        self.store.clip_grad_norm(5.0);
-        self.store.adam_step(self.cfg.lr);
-        loss_val
+        self.exec
+            .stage_step(&self.store, batch, |tape, shard| {
+                forward_loss(self, tape, shard, self.cfg.gamma)
+            })
+            .apply(&mut self.store, self.cfg.lr)
     }
 
     fn score_all(&self, query: &Query) -> Vec<f32> {
@@ -298,6 +296,10 @@ impl QueryModel for ConeModel {
 
     fn n_entities(&self) -> usize {
         self.n_entities
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.exec.set_threads(threads);
     }
 
     fn score_cache(&self) -> Option<halk_core::ScoreCache> {

@@ -8,9 +8,9 @@
 //! (Fig. 6b times operators, not harness differences). The pre-plan
 //! recursive walker lives in [`reference`] for the bit-identity tests.
 
-use halk_core::loss::margin_loss;
-use halk_core::TrainExample;
-use halk_logic::plan::{PlanBindings, PlanCache, PlanOp, PlanShape};
+use halk_core::loss::{margin_loss, shard_loss};
+use halk_core::{TrainExample, TrainShard};
+use halk_logic::plan::{PlanBindings, PlanOp, PlanShape};
 use halk_logic::Query;
 use halk_nn::{Tape, Var};
 
@@ -85,42 +85,27 @@ pub fn embed_plan<G: GeomOps>(
     Some(shape.roots().iter().map(|&r| slots[r as usize]).collect())
 }
 
-/// The forward pass shared by all baselines: execute the batch's compiled
-/// plan and build the margin loss (Eq. 17 without HaLk's group term).
-/// Returns the tape and the loss node; the caller runs `backward` and its
-/// optimizer (the only part that needs `&mut` access to the parameter
-/// store). Training batches are same-structure, so `plans` compiles each
-/// structure exactly once across the whole run.
+/// The shard forward shared by all baselines: execute the batch's compiled
+/// plan over the shard's bindings and build the margin loss (Eq. 17
+/// without HaLk's group term) on `tape`. The shared training step
+/// ([`halk_core::Executor::stage_step`]) owns everything around it.
 pub fn forward_loss<G: GeomOps>(
     geom: &G,
-    plans: &PlanCache,
-    batch: &[TrainExample],
+    tape: &mut Tape,
+    shard: &TrainShard<'_>,
     gamma: f32,
-) -> (Tape, Var) {
-    assert!(!batch.is_empty());
-    let mut tape = Tape::new();
-    let shape = plans.shape_for(&batch[0].query);
-    let bindings: Vec<PlanBindings> = batch.iter().map(|ex| PlanBindings::of(&ex.query)).collect();
-    let roots = embed_plan(geom, &mut tape, &shape, &bindings)
+) -> Var {
+    let roots = embed_plan(geom, tape, shard.shape, shard.bindings)
         .expect("train_batch called with an unsupported structure");
     assert_eq!(roots.len(), 1, "training structures are union-free (§IV-A)");
     let rep = roots[0];
-    let pos_ids: Vec<u32> = batch.iter().map(|ex| ex.positive.0).collect();
-    let d_pos = geom.distance(&mut tape, rep, &pos_ids);
-    let m = batch
-        .iter()
-        .map(|ex| ex.negatives.len())
-        .min()
-        .expect("nonempty batch");
-    assert!(m > 0, "training requires negatives");
-    let d_negs: Vec<Var> = (0..m)
-        .map(|j| {
-            let ids: Vec<u32> = batch.iter().map(|ex| ex.negatives[j].0).collect();
-            geom.distance(&mut tape, rep, &ids)
-        })
-        .collect();
-    let loss = margin_loss(&mut tape, d_pos, None, &d_negs, None, gamma);
-    (tape, loss)
+    shard_loss(
+        tape,
+        shard,
+        gamma,
+        |tape, ids| geom.distance(tape, rep, ids),
+        None,
+    )
 }
 
 /// The retained recursive AST interpreter over [`GeomOps`]. No production

@@ -8,9 +8,9 @@
 //! like any other operator) but not difference (§IV-A).
 
 use crate::embedder::{embed_plan, forward_loss, GeomOps};
-use halk_core::{HalkConfig, QueryModel, TrainExample};
+use halk_core::{ExecConfig, Executor, HalkConfig, QueryModel, TrainExample};
 use halk_kg::Graph;
-use halk_logic::plan::{PlanBindings, PlanCache};
+use halk_logic::plan::PlanBindings;
 use halk_logic::{Query, Structure};
 use halk_nn::{Act, Mlp, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ pub struct MlpMixModel {
     inter_inner: Mlp,
     inter_outer: Mlp,
     neg: Mlp,
-    plans: PlanCache,
+    exec: Executor,
 }
 
 impl MlpMixModel {
@@ -70,14 +70,14 @@ impl MlpMixModel {
             inter_inner,
             inter_outer,
             neg,
-            plans: PlanCache::new(),
+            exec: Executor::new(ExecConfig::model()),
         }
     }
 
     /// Inference: the query vector of each DNF branch, read off the cached
     /// compiled plan.
     fn embed_query_values(&self, query: &Query) -> Option<Vec<Vec<f32>>> {
-        let shape = self.plans.shape_for(query);
+        let shape = self.exec.shape_for(query);
         let bindings = PlanBindings::of(query);
         let mut tape = Tape::forward_only();
         let roots = embed_plan(self, &mut tape, &shape, std::slice::from_ref(&bindings))?;
@@ -151,13 +151,11 @@ impl QueryModel for MlpMixModel {
     }
 
     fn train_batch(&mut self, batch: &[TrainExample]) -> f32 {
-        let (tape, loss) = forward_loss(self, &self.plans, batch, self.cfg.gamma);
-        let loss_val = tape.value(loss).item();
-        self.store.zero_grads();
-        tape.backward(loss, &mut self.store);
-        self.store.clip_grad_norm(5.0);
-        self.store.adam_step(self.cfg.lr);
-        loss_val
+        self.exec
+            .stage_step(&self.store, batch, |tape, shard| {
+                forward_loss(self, tape, shard, self.cfg.gamma)
+            })
+            .apply(&mut self.store, self.cfg.lr)
     }
 
     fn score_all(&self, query: &Query) -> Vec<f32> {
@@ -172,6 +170,10 @@ impl QueryModel for MlpMixModel {
 
     fn n_entities(&self) -> usize {
         self.n_entities
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.exec.set_threads(threads);
     }
 
     fn param_store(&self) -> Option<&halk_nn::ParamStore> {

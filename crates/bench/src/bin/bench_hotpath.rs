@@ -14,8 +14,7 @@
 //! - training: `train_step_<structure>`, one optimizer step per operator
 //!   family (pi, 1p projection, 3p chain, 3i intersection, 3d difference,
 //!   2in negation) — the per-operator cost behind Fig. 6b — and
-//!   `train_step_parallel` / `eval_parallel` at the ambient thread count
-//!   against one thread;
+//!   `train_step_parallel` at the ambient thread count against one thread;
 //! - substrate: `sampler_pi_batch` and dense `matmul_<n>`;
 //! - serving scale (8000 entities, ns per query over a group of 8
 //!   same-skeleton requests): `score_all_8000` (full vector + argsort per
@@ -42,10 +41,10 @@
 //! more than 15%, naming each regressed entry with its slowdown percentage.
 
 use halk_core::{
-    evaluate_structure_pool, top_k_indices, ArcShards, HalkConfig, HalkModel, Pool, Precision,
-    QueryModel, ShardedTrig, TrainExample,
+    top_k_indices, ArcShards, HalkConfig, HalkModel, Pool, Precision, QueryModel, ShardedTrig,
+    TrainExample,
 };
-use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
+use halk_kg::{generate, Graph, SynthConfig};
 use halk_logic::plan::{PlanBindings, PlanShape};
 use halk_logic::{answers, Query, Sampler, Structure};
 use halk_obs::Deadline;
@@ -293,47 +292,13 @@ fn main() {
     });
     record(&format!("matmul_{matmul_n}"), ns_matmul, iters, None);
 
-    // --- parallel runtime: an evaluation sweep and a training step
-    // at the ambient thread count vs one worker. Thread counts and the
-    // host's hardware parallelism are recorded so speedups are read in
-    // context (on a single-core host both pools collapse to one worker and
-    // the ratio is ~1.0 by construction).
+    // --- parallel runtime: a training step at the ambient thread count vs
+    // one worker. Thread counts and the host's hardware parallelism are
+    // recorded so the speedup is read in context (on a single-core host
+    // both pools collapse to one worker and the ratio is ~1.0 by
+    // construction).
     let threads = halk_par::auto_threads();
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let split = DatasetSplit::nested(&g, 0.8, 0.1, &mut StdRng::seed_from_u64(7));
-    let eval_q = if args.smoke { 4 } else { 16 };
-    let ns_eval_1 = median_ns(samples, 1, || {
-        black_box(evaluate_structure_pool(
-            &model,
-            &split,
-            Structure::P2,
-            eval_q,
-            11,
-            Pool::new(1),
-        ));
-    });
-    let ns_eval_n = median_ns(samples, 1, || {
-        black_box(evaluate_structure_pool(
-            &model,
-            &split,
-            Structure::P2,
-            eval_q,
-            11,
-            Pool::new(threads),
-        ));
-    });
-    let eval_speedup = ns_eval_1 / ns_eval_n;
-    record(
-        "eval_parallel",
-        ns_eval_n,
-        1,
-        Some(json!({
-            "threads": threads,
-            "baseline_1thread_ns": ns_eval_1,
-            "speedup_vs_1thread": eval_speedup,
-        })),
-    );
-
     model.set_threads(1);
     let ns_train_1 = median_ns(samples, train_iters, || {
         black_box(model.train_batch(batch));
@@ -639,10 +604,7 @@ fn main() {
     println!("executor_group_8000 vs topk_sharded_8000: {executor_overhead:.2}x serve envelope");
     println!("score_all_8000 f32 vs i16: {quantized_ratio:.2}x");
     println!("snapshot_boot_8000 vs tsv_boot_8000: {boot_speedup:.2}x");
-    println!(
-        "eval_parallel / train_step_parallel vs 1 thread: {eval_speedup:.2}x / \
-         {train_speedup:.2}x ({threads} threads)"
-    );
+    println!("train_step_parallel vs 1 thread: {train_speedup:.2}x ({threads} threads)");
 
     // Snapshot the metrics the instrumented paths accumulated while
     // benching (pool regions, plan-cache hits/misses, eval counters).
@@ -678,7 +640,6 @@ fn main() {
         "derived": json!({
             "score_all_up_speedup": speedup,
             "score_all_p2_speedup": speedup_p2,
-            "eval_parallel_speedup": eval_speedup,
             "train_parallel_speedup": train_speedup,
             "topk_sharded_8000_speedup": sharded_speedup,
             "executor_group_8000_overhead": executor_overhead,

@@ -14,8 +14,8 @@
 //! Run with `cargo run --release -p halk-bench --bin exp_ablation_distance`.
 
 use halk_bench::{save_json, truncated_structures, RunObs, Scale, Table};
-use halk_core::eval::evaluate_table;
-use halk_core::{train_model, DistanceMode, HalkModel};
+use halk_core::eval::evaluate_table_pool;
+use halk_core::{train_model, DistanceMode, HalkModel, Pool};
 use halk_kg::Dataset;
 use halk_logic::Structure;
 use rand::rngs::StdRng;
@@ -63,12 +63,13 @@ fn main() {
             stats.tail_loss()
         );
 
-        let row = evaluate_table(
+        let row = evaluate_table_pool(
             &model,
             &fb237.split,
             &structures,
             scale.eval_queries,
             scale.seed ^ 0xD1,
+            Pool::auto(),
         );
         let cells: Vec<Option<f64>> = row.iter().map(|(_, c)| c.map(|c| c.metrics.mrr)).collect();
         mrr.push_row(label, cells.clone());

@@ -6,7 +6,8 @@
 
 use halk_bench::suite::{standard_datasets, train_suite, ModelKind};
 use halk_bench::{save_json, truncated_structures, RunObs, Scale, Table};
-use halk_core::eval::{evaluate_table, row_average};
+use halk_core::eval::{evaluate_table_pool, row_average};
+use halk_core::Pool;
 use halk_logic::Structure;
 use serde_json::json;
 
@@ -42,12 +43,13 @@ fn main() {
 
         let mut truncated_out = Vec::new();
         for trained in &suite {
-            let row = evaluate_table(
+            let row = evaluate_table_pool(
                 trained.model.as_ref(),
                 &dataset.split,
                 &structures,
                 scale.eval_queries,
                 scale.seed ^ 0x34,
+                Pool::auto(),
             );
             let mut mrr_cells: Vec<Option<f64>> =
                 row.iter().map(|(_, c)| c.map(|c| c.metrics.mrr)).collect();

@@ -9,8 +9,8 @@
 //! Run with `cargo run --release -p halk-bench --bin exp_table5_ablation`.
 
 use halk_bench::{save_json, truncated_structures, RunObs, Scale, Table};
-use halk_core::eval::evaluate_table;
-use halk_core::{train_model, Ablation, HalkModel};
+use halk_core::eval::evaluate_table_pool;
+use halk_core::{train_model, Ablation, HalkModel, Pool};
 use halk_kg::Dataset;
 use halk_logic::Structure;
 use rand::rngs::StdRng;
@@ -81,12 +81,13 @@ fn main() {
             (format!("HaLk-{ablation:?}"), &variant),
             ("HaLk".to_string(), &full),
         ] {
-            let row = evaluate_table(
+            let row = evaluate_table_pool(
                 model,
                 &nell.split,
                 &structures,
                 scale.eval_queries,
                 scale.seed ^ 0x55,
+                Pool::auto(),
             );
             hit3.push_row(
                 name.clone(),

@@ -496,7 +496,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: load_gen --addr HOST:PORT --graph graph.tsv [--model DIR] \
                      [--duration-ms N] [--clients N] [--seed N] [--top N] \
-                     [--deadline-ms N] [--faults] [--precision f32|i16|i8]"
+                     [--deadline-ms N] [--faults] [--precision f32|i16]"
                 );
                 return ExitCode::SUCCESS;
             }

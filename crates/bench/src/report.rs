@@ -115,7 +115,7 @@ impl Table {
     }
 }
 
-/// Names of the structures in an `evaluate_table` row whose attempt budget
+/// Names of the structures in an `evaluate_table_pool` row whose attempt budget
 /// ran out before the requested number of answerable queries was found
 /// ([`EvalCell::truncated`]) — surfaced in each binary's JSON so downstream
 /// readers know which cells averaged fewer queries than configured.

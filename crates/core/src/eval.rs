@@ -31,13 +31,12 @@ pub struct EvalCell {
     pub truncated: bool,
 }
 
-/// Attempts sampled ahead per speculative chunk in
-/// [`evaluate_structure_pool`]. Sampling stays sequential (one RNG stream);
-/// answering and scoring of a chunk fan out across the pool.
+/// Attempts sampled per chunk in [`evaluate_structure_exec`]: the phase
+/// spans open once per chunk, not once per query.
 const SPEC_CHUNK: usize = 32;
 
-/// Evaluates a model on one structure with `n_queries` sampled test queries,
-/// scheduling on the ambient pool ([`Pool::auto`]).
+/// Evaluates a model on one structure with `n_queries` sampled test queries
+/// on a fresh one-thread executor.
 ///
 /// Queries whose hard-answer set is empty (fully derivable on the validation
 /// graph) are rejected and resampled, as the protocol requires.
@@ -48,40 +47,28 @@ pub fn evaluate_structure<M: QueryModel + Sync + ?Sized>(
     n_queries: usize,
     seed: u64,
 ) -> EvalCell {
-    evaluate_structure_pool(model, split, structure, n_queries, seed, Pool::auto())
-}
-
-/// [`evaluate_structure`] on an explicit pool. Bit-identical metrics at any
-/// thread count: candidate queries are sampled sequentially in fixed-size
-/// chunks (the RNG stream is the sequential one), answer-splitting of a
-/// chunk runs in parallel, candidates are accepted in attempt order until
-/// `n_queries` are in — the same accepted set the sequential loop picks —
-/// and only the accepted ones are scored, again in parallel. Samples drawn
-/// past the final acceptance are discarded unscored. Integer ranks are
-/// folded into the accumulator sequentially in that same order, so the f64
-/// metric sums associate identically too.
-pub fn evaluate_structure_pool<M: QueryModel + Sync + ?Sized>(
-    model: &M,
-    split: &DatasetSplit,
-    structure: Structure,
-    n_queries: usize,
-    seed: u64,
-    pool: Pool,
-) -> EvalCell {
     let exec = Executor::new(ExecConfig {
-        threads: pool.threads(),
+        threads: 1,
         label: "eval_score",
         ..ExecConfig::default()
     });
     evaluate_structure_exec(model, split, structure, n_queries, seed, &exec)
 }
 
-/// [`evaluate_structure_pool`] on an explicit [`Executor`] — the shared
+/// [`evaluate_structure`] on an explicit [`Executor`] — the shared
 /// batch-executor entry every eval caller routes through (DESIGN.md §15).
 /// The executor owns the plan cache and the scoring cache; passing one
 /// executor across structures (as [`evaluate_table_pool`] does) builds the
 /// model's scoring tables once per parameter state instead of once per
 /// structure.
+///
+/// The cell is one sequential loop: candidates are sampled from one RNG
+/// stream in fixed-size chunks, answer-split and scored in attempt order,
+/// and accepted until `n_queries` are in. Nothing past the last
+/// acceptance is answer-split or scored, and ranks fold into the
+/// accumulator in acceptance order, so the metrics are the same bits as
+/// the one-query-at-a-time loop's. Parallelism lives one level up, across
+/// the cells of a table row.
 pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
     model: &M,
     split: &DatasetSplit,
@@ -125,40 +112,35 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
         halk_obs::histogram!("halk_eval_sample_us")
             .record(sample_start.elapsed().as_micros() as u64);
 
-        // One group per chunk (same structure ⇒ one skeleton): shapes are
-        // resolved sequentially, so plan-cache lookups stay deterministic,
-        // then answer-splitting fans out on the executor's pool. Queries
-        // vary wildly in answer-set size, so use the dynamic splitter; it
-        // returns results in attempt order regardless. Only the candidates
-        // accepted in that order (non-empty hard answers, up to the number
-        // still needed) are scored.
+        // One group per chunk (same structure ⇒ one skeleton). Candidates
+        // are answer-split in attempt order; those with non-empty hard
+        // answers are scored until the cell has `n_queries`.
         phase = phase.next("eval_score");
         let score_start = std::time::Instant::now();
-        let jobs: Vec<_> = candidates.iter().map(|q| (q, exec.shape_for(q))).collect();
-        let scored = if jobs.is_empty() {
-            Vec::new()
-        } else {
-            let _group = exec.group_span(jobs.len(), || None);
-            let accepted: Vec<_> = exec
-                .pool()
-                .par_map_dyn(&jobs, |(query, shape)| {
-                    let ans = split_set(shape, &PlanBindings::of(query), &split.valid, &split.test);
-                    (!ans.hard.is_empty()).then_some((*query, ans))
-                })
-                .into_iter()
-                .flatten()
-                .take(n_queries - evaluated)
-                .collect();
-            exec.pool().par_map_dyn(&accepted, |(query, ans)| {
-                let t0 = std::time::Instant::now();
-                let scores = match &cache {
-                    Some(c) => model.score_all_cached(query, c),
-                    None => model.score_all(query),
-                };
-                let elapsed = t0.elapsed();
-                (filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed)
-            })
-        };
+        let group = (!candidates.is_empty()).then(|| exec.group_span(candidates.len(), || None));
+        let mut scored = Vec::new();
+        for query in &candidates {
+            if evaluated + scored.len() == n_queries {
+                break;
+            }
+            let ans = split_set(
+                &exec.shape_for(query),
+                &PlanBindings::of(query),
+                &split.valid,
+                &split.test,
+            );
+            if ans.hard.is_empty() {
+                continue;
+            }
+            let t0 = std::time::Instant::now();
+            let scores = match &cache {
+                Some(c) => model.score_all_cached(query, c),
+                None => model.score_all(query),
+            };
+            let elapsed = t0.elapsed();
+            scored.push((filtered_ranks(&scores, &ans.hard, &ans.easy), elapsed));
+        }
+        drop(group);
         halk_obs::histogram!("halk_eval_score_us").record(score_start.elapsed().as_micros() as u64);
 
         phase = phase.next("eval_rank");
@@ -196,23 +178,12 @@ pub fn evaluate_structure_exec<M: QueryModel + Sync + ?Sized>(
     cell
 }
 
-/// Evaluates a model across a list of structures (a table row), skipping
-/// structures the model does not support (rendered as `-` in the paper's
-/// tables). Structures fan out across the ambient pool.
-pub fn evaluate_table<M: QueryModel + Sync + ?Sized>(
-    model: &M,
-    split: &DatasetSplit,
-    structures: &[Structure],
-    n_queries: usize,
-    seed: u64,
-) -> Vec<(Structure, Option<EvalCell>)> {
-    evaluate_table_pool(model, split, structures, n_queries, seed, Pool::auto())
-}
-
-/// [`evaluate_table`] on an explicit pool: structures are uneven work items,
-/// so they go through the dynamic splitter, and each cell evaluates
-/// sequentially inside to avoid nested oversubscription. Each cell is
-/// bit-identical to its sequential evaluation, so the whole row is too.
+/// Evaluates a model across a list of structures (a table row) on `pool`,
+/// skipping structures the model does not support (rendered as `-` in the
+/// paper's tables). Structures are uneven work items, so they go through
+/// the dynamic splitter; each cell runs its sequential loop. Each cell is
+/// bit-identical to its [`evaluate_structure`] evaluation, so the whole row
+/// is too.
 ///
 /// One [`Executor`] is shared by every cell, so the model's scoring cache
 /// (HaLk's entity-trig table) is built once for the whole row instead of
@@ -367,22 +338,12 @@ mod tests {
         }
         let (split, model) = setup();
         let counting = Counting(model, AtomicUsize::new(0));
-        let mut cells = Vec::new();
-        for threads in [1, 4] {
-            for (s, n) in [(Structure::P1, 5), (Structure::P2, 40)] {
-                counting.1.store(0, Ordering::Relaxed);
-                let cell = evaluate_structure_pool(&counting, &split, s, n, 7, Pool::new(threads));
-                assert!(cell.n_queries > 0);
-                assert_eq!(
-                    counting.1.load(Ordering::Relaxed),
-                    cell.n_queries,
-                    "{s} threads={threads}"
-                );
-                cells.push((cell.metrics.mrr.to_bits(), cell.n_queries));
-            }
+        for (s, n) in [(Structure::P1, 5), (Structure::P2, 40)] {
+            counting.1.store(0, Ordering::Relaxed);
+            let cell = evaluate_structure(&counting, &split, s, n, 7);
+            assert!(cell.n_queries > 0);
+            assert_eq!(counting.1.load(Ordering::Relaxed), cell.n_queries, "{s}");
         }
-        // Metric bits and query counts do not depend on the pool size.
-        assert_eq!(cells[..2], cells[2..]);
     }
 
     #[test]
@@ -407,7 +368,8 @@ mod tests {
         }
         let (split, model) = setup();
         let wrapped = NoDiff(model);
-        let row = evaluate_table(&wrapped, &split, &[Structure::P1, Structure::D2], 2, 3);
+        let structures = [Structure::P1, Structure::D2];
+        let row = evaluate_table_pool(&wrapped, &split, &structures, 2, 3, Pool::new(2));
         assert!(row[0].1.is_some());
         assert!(row[1].1.is_none());
         assert!(row_average(&row, |m| m.mrr) >= 0.0);

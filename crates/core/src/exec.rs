@@ -21,13 +21,14 @@
 //!   every surface uses.
 //! * **The pool.** [`Executor::pool`] is the labeled `halk-par` pool every
 //!   group kernel fans out on (`par_map_mut` for training shards,
-//!   `par_map_dyn` for eval answer-splitting and scoring, `par_shards`
-//!   inside [`sharded_top_k_timed`](crate::shard::sharded_top_k_timed)
+//!   `par_shards` inside
+//!   [`sharded_top_k_timed`](crate::shard::sharded_top_k_timed)
 //!   for serving sweeps, which fork only when big enough to pay for the
 //!   spawn and otherwise run on a one-thread pool under the same label).
-//!   The thread that calls the kernel — the training step, the eval
-//!   driver, the serve session — runs the first share itself, so a
-//!   `k`-thread pool spawns `k − 1` threads per fork.
+//!   Eval forks once per table row, not inside a cell. The thread that
+//!   calls the kernel — the training step, the serve session — runs the
+//!   first share itself, so a `k`-thread pool spawns `k − 1` threads per
+//!   fork.
 //!   Thread count is a scheduling knob only; every surface's contract is
 //!   bit-identical results at any setting.
 //! * **Observability.** Every group goes through [`Executor::group_span`],
@@ -35,21 +36,27 @@
 //!   / `halk_exec_jobs_total` / `halk_exec_group_size`; the cache layer
 //!   ticks `halk_exec_cache_builds_total` vs `halk_exec_cache_hits_total`,
 //!   which is what the eval-reuse regression test pins.
+//! * **The training step.** HaLk and the three baselines all train
+//!   through [`Executor::stage_step`] and [`StagedStep::apply`]: fixed
+//!   8-example shards, each on a kept `(Tape, GradBuffer)` pair, folded in
+//!   shard order before one clip and one Adam step (DESIGN.md §9). A
+//!   model supplies only the forward pass of one [`TrainShard`].
 //!
 //! What stays with each surface is its group kernel and the protocol
-//! around it: train stages per-shard gradients and folds them in fixed
-//! shard order, eval computes filtered ranks and accepts them in attempt
-//! order, serve turns merged top-k heaps into protocol replies.
+//! around it: train supplies its shard forward, eval computes filtered
+//! ranks and accepts them in attempt order, serve turns merged top-k heaps
+//! into protocol replies.
 //! Per-request deadlines ride inside the serve items and are honored by
 //! the group kernels (slice-boundary checks in the sharded sweep), so a
 //! deadline-blown request degrades alone without stalling its group.
 
 use crate::model::HalkModel;
-use crate::qmodel::{QueryModel, ScoreCache};
+use crate::qmodel::{QueryModel, ScoreCache, TrainExample};
 use crate::scorer::{ArcScorer, Precision};
 use crate::shard::ShardedTrig;
-use halk_logic::plan::{PlanCache, PlanShape};
+use halk_logic::plan::{PlanBindings, PlanCache, PlanShape};
 use halk_logic::Query;
+use halk_nn::{GradBuffer, ParamStore, Tape, Var};
 use halk_obs::trace::SpanGuard;
 use halk_par::Pool;
 use std::sync::{Arc, Mutex};
@@ -58,6 +65,11 @@ use std::sync::{Arc, Mutex};
 /// permit holder runs as a single kernel pass (`halk serve --batch-cap`
 /// overrides).
 pub const DEFAULT_BATCH_CAP: usize = 16;
+
+/// Examples per training shard. Fixed by data, not by hardware: the shard
+/// plan for a batch is identical at every thread count, which is what makes
+/// data-parallel training bit-reproducible (DESIGN.md §9).
+const TRAIN_SHARD_SIZE: usize = 8;
 
 /// Construction parameters for an [`Executor`]. `Default` gives an
 /// unbounded, auto-threaded executor labeled `"exec"` scoring at full
@@ -91,6 +103,19 @@ impl Default for ExecConfig {
     }
 }
 
+impl ExecConfig {
+    /// The executor a model owns for its training step and scoring:
+    /// auto-threaded, no group cap (a training batch is one group),
+    /// full-precision tables, and the `model_batch` pool label every
+    /// release has used.
+    pub fn model() -> ExecConfig {
+        ExecConfig {
+            label: "model_batch",
+            ..ExecConfig::default()
+        }
+    }
+}
+
 /// Scoring caches for one parameter state (see [`Executor::score_cache`]).
 struct CacheState {
     /// `ParamStore::steps_taken` when the caches were built; a moved
@@ -113,6 +138,36 @@ pub struct Executor {
     precision: Precision,
     plans: PlanCache,
     cache: Mutex<CacheState>,
+    /// Kept per-shard training state: each batch shard owns a tape (reset,
+    /// not dropped, between batches so its buffer pool amortizes every
+    /// forward allocation) plus a staging [`GradBuffer`]. Derived state,
+    /// not saved: fresh shards give the same bits (DESIGN.md §8).
+    pub(crate) train: Mutex<Vec<(Tape, GradBuffer)>>,
+}
+
+/// One training shard, as a model's forward pass sees it: the shard's
+/// examples and binding tables, the batch's compiled shape, and `m`, the
+/// smallest negative count in the whole batch.
+pub struct TrainShard<'a> {
+    /// The shard's examples (at most 8).
+    pub examples: &'a [TrainExample],
+    /// The batch's compiled plan shape (one per batch: batches are
+    /// same-structure).
+    pub shape: &'a PlanShape,
+    /// One binding table per example, in example order.
+    pub bindings: &'a [PlanBindings],
+    /// Negative columns per example: the batch-wide minimum, so no shard
+    /// depends on the split.
+    pub m: usize,
+}
+
+/// Shard gradients staged by [`Executor::stage_step`]; [`StagedStep::apply`]
+/// folds them into the store and takes the optimizer step.
+pub struct StagedStep<'e> {
+    exec: &'e Executor,
+    shards: Vec<(Tape, GradBuffer)>,
+    n_shards: usize,
+    loss: f32,
 }
 
 impl Executor {
@@ -130,6 +185,7 @@ impl Executor {
                 score: None,
                 sharded: None,
             }),
+            train: Mutex::new(Vec::new()),
         }
     }
 
@@ -206,28 +262,9 @@ impl Executor {
         self.shards
     }
 
-    /// Overrides the shard count, dropping any resident sharded tables.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
-        self.invalidate();
-    }
-
     /// The trig storage precision of the executor's sharded tables.
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// Overrides the precision, dropping any resident sharded tables.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        self.invalidate();
-    }
-
-    /// Drops every resident cache (next access rebuilds).
-    pub fn invalidate(&self) {
-        let mut st = self.cache.lock().expect("exec cache");
-        st.score = None;
-        st.sharded = None;
     }
 
     /// The model's scoring cache for its *current* parameter state, built
@@ -292,6 +329,81 @@ impl Executor {
         self.cache.lock().expect("exec cache").sharded.clone()
     }
 
+    // ------------------------------------------------------------ train
+
+    /// The forward and backward half of one training step over a batch of
+    /// same-structure examples. It fixes the batch-wide constants (`m`,
+    /// the compiled shape, every example's bindings), then runs each fixed
+    /// 8-example shard on its kept tape on the pool, as one group: `forward`
+    /// returns the shard-mean loss, which is scaled by the shard's share of
+    /// the batch and backpropagated into the shard's own buffer. Shard
+    /// boundaries depend only on the batch size, so any thread count gives
+    /// the same bits (DESIGN.md §9).
+    ///
+    /// # Panics
+    /// On an empty batch, an example without negatives, or a batch whose
+    /// queries compile to different shapes.
+    pub fn stage_step<F>(
+        &self,
+        store: &ParamStore,
+        batch: &[TrainExample],
+        forward: F,
+    ) -> StagedStep<'_>
+    where
+        F: Fn(&mut Tape, &TrainShard<'_>) -> Var + Sync,
+    {
+        assert!(!batch.is_empty());
+        let b = batch.len();
+        let n_shards = b.div_ceil(TRAIN_SHARD_SIZE);
+        let m = batch.iter().map(|ex| ex.negatives.len()).min().unwrap_or(0);
+        assert!(m > 0, "training requires at least one negative per example");
+        let shape = self.shape_for(&batch[0].query);
+        let bindings: Vec<PlanBindings> = batch
+            .iter()
+            .map(|ex| {
+                assert!(
+                    Arc::ptr_eq(&shape, &self.shape_for(&ex.query)),
+                    "heterogeneous batch: {} does not match the batch shape",
+                    ex.query.render()
+                );
+                PlanBindings::of(&ex.query)
+            })
+            .collect();
+
+        let mut shards = std::mem::take(&mut *self.train.lock().expect("train shards"));
+        shards.resize_with(shards.len().max(n_shards), || {
+            (Tape::new(), GradBuffer::new())
+        });
+        let group = self.group_span(b, || None);
+        let losses = self
+            .pool()
+            .par_map_mut(&mut shards[..n_shards], |si, (tape, buf)| {
+                let lo = si * TRAIN_SHARD_SIZE;
+                let hi = (lo + TRAIN_SHARD_SIZE).min(b);
+                tape.reset();
+                buf.reset_for(store);
+                let shard = TrainShard {
+                    examples: &batch[lo..hi],
+                    shape: &shape,
+                    bindings: &bindings[lo..hi],
+                    m,
+                };
+                let loss = forward(tape, &shard);
+                // Weight the shard's mean by its share of the batch so the
+                // shard-summed loss and gradients form one batch-wide mean.
+                let scaled = tape.scale(loss, (hi - lo) as f32 / b as f32);
+                tape.backward_into(scaled, buf);
+                tape.value(scaled).item()
+            });
+        drop(group);
+        StagedStep {
+            exec: self,
+            shards,
+            n_shards,
+            loss: losses.iter().sum(),
+        }
+    }
+
     // ------------------------------------------------------------ embed
 
     /// One batched tape embedding for a same-shape group: compiles every
@@ -305,6 +417,22 @@ impl Executor {
         queries: &[&Query],
     ) -> Vec<ArcScorer> {
         model.scorers_for_shape(shape, queries)
+    }
+}
+
+impl StagedStep<'_> {
+    /// The optimizer half of the step: adds the shard gradients into
+    /// `store` in shard order (whichever worker produced them), clips the
+    /// global norm to 5 and takes one Adam step. Returns the batch loss.
+    pub fn apply(self, store: &mut ParamStore, lr: f32) -> f32 {
+        store.zero_grads();
+        for (_, buf) in &self.shards[..self.n_shards] {
+            buf.add_into(store);
+        }
+        store.clip_grad_norm(5.0);
+        store.adam_step(lr);
+        *self.exec.train.lock().expect("train shards") = self.shards;
+        self.loss
     }
 }
 

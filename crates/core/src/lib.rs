@@ -45,11 +45,8 @@ pub mod shard;
 pub mod train;
 
 pub use config::{Ablation, DistanceMode, HalkConfig};
-pub use eval::{
-    evaluate_structure, evaluate_structure_exec, evaluate_structure_pool, evaluate_table,
-    evaluate_table_pool, EvalCell,
-};
-pub use exec::{ExecConfig, Executor, DEFAULT_BATCH_CAP};
+pub use eval::{evaluate_structure, evaluate_structure_exec, evaluate_table_pool, EvalCell};
+pub use exec::{ExecConfig, Executor, TrainShard, DEFAULT_BATCH_CAP};
 pub use halk_par::Pool;
 pub use model::HalkModel;
 pub use qmodel::{QueryModel, ScoreCache, TrainExample};

@@ -7,7 +7,43 @@
 //! Centralizing it here guarantees the offline-time comparison of Fig. 6b
 //! measures operator cost, not loss-plumbing differences.
 
-use halk_nn::{Tape, Var};
+use crate::exec::TrainShard;
+use halk_nn::{Tape, Tensor, Var};
+
+/// Builds one column's additive penalties (`B×1`) from its entity ids.
+pub type Penalty<'a> = &'a dyn Fn(&[u32]) -> Tensor;
+
+/// The loss of one training shard: the positive distance column, `m`
+/// negative columns and, when `penalty` is given, each column's additive
+/// penalty (HaLk's Eq. 17 group term), folded by [`margin_loss`]. Every
+/// model's shard forward ends here, so the column loop exists once.
+///
+/// `distance` appends one column (`B×1`) to the tape for a list of entity
+/// ids, one per shard example; `penalty` builds the matching penalty
+/// column as a constant.
+pub fn shard_loss(
+    tape: &mut Tape,
+    shard: &TrainShard<'_>,
+    gamma: f32,
+    mut distance: impl FnMut(&mut Tape, &[u32]) -> Var,
+    penalty: Option<Penalty<'_>>,
+) -> Var {
+    let mut column = |tape: &mut Tape, ids: Vec<u32>| {
+        let pen = penalty.map(|p| p(&ids));
+        let d = distance(tape, &ids);
+        (d, pen.map(|p| tape.input(p)))
+    };
+    let pos_ids = shard.examples.iter().map(|ex| ex.positive.0).collect();
+    let (d_pos, pos_pen) = column(tape, pos_ids);
+    let (d_negs, neg_pens): (Vec<Var>, Vec<Option<Var>>) = (0..shard.m)
+        .map(|j| {
+            let ids = shard.examples.iter().map(|ex| ex.negatives[j].0).collect();
+            column(tape, ids)
+        })
+        .unzip();
+    let neg_pens: Option<Vec<Var>> = neg_pens.into_iter().collect();
+    margin_loss(tape, d_pos, pos_pen, &d_negs, neg_pens.as_deref(), gamma)
+}
 
 /// Builds the scalar loss from a positive distance column (`B×1`), the
 /// negative distance columns (`m` of them, each `B×1`), a margin `γ`, and
@@ -67,7 +103,6 @@ pub fn margin_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halk_nn::Tensor;
 
     #[test]
     fn perfect_separation_gives_small_loss() {

@@ -32,7 +32,7 @@ use halk_geometry::Arc;
 use halk_kg::{Graph, Grouping};
 use halk_logic::plan::{PlanBindings, PlanCache, PlanMasks, PlanOp, PlanShape};
 use halk_logic::Query;
-use halk_nn::{Act, GradBuffer, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
+use halk_nn::{Act, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
 use halk_par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,45 +72,59 @@ pub struct HalkModel {
     neg_center: Mlp,
     neg_alpha: Mlp,
 
-    /// Persistent per-shard training state: each batch shard owns a tape
-    /// (reset, not dropped, between batches so its buffer pool amortizes
-    /// every forward allocation) plus a staging [`GradBuffer`]. Shard count
-    /// is fixed by batch size, never by thread count, so training is
-    /// bit-identical at any parallelism (DESIGN.md §9). Not part of the
-    /// saved state — fresh shards are equivalent (see DESIGN.md §8).
-    pub(crate) train_shards: Vec<(Tape, GradBuffer)>,
     /// Reset forward-only tapes for inference embeds, each tagged with the
     /// thread that returned it last (DESIGN.md §8). An embed checks one
     /// out and puts it back reset, so the pool holds at most as many
     /// tapes as embeds ever ran at once, and their buffer pools carry
-    /// over between queries. Derived state like `train_shards`: not saved.
+    /// over between queries. Derived state: not saved.
     infer_tapes: Mutex<Vec<(ThreadId, Tape)>>,
     /// The model's own batch executor (DESIGN.md §15): owns the worker
     /// pool (0 threads = auto via [`halk_par::auto_threads`]), the
-    /// compiled-plan cache, and the scoring-cache layer. Like
-    /// `train_shards`, derived state: not saved, rebuilt after load.
-    exec: Executor,
+    /// compiled-plan cache, the scoring-cache layer and the kept training
+    /// shards. Derived state: not saved, rebuilt after load.
+    pub(crate) exec: Executor,
+}
+
+/// How [`HalkModel::with_layout`] fills the parameters it registers.
+enum Init<'g> {
+    /// Seeded draws from `cfg.seed`, then a seeded random grouping of the
+    /// graph: a fresh model.
+    Seeded(&'g Graph),
+    /// Zeroed tensors and no RNG draw, for a decoded store that replaces
+    /// every value, with the decoded grouping.
+    Zeroed(Grouping),
 }
 
 impl HalkModel {
     /// Builds a freshly initialized model for a training graph.
     pub fn new(train_graph: &Graph, cfg: HalkConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (n_entities, n_relations) = (train_graph.n_entities(), train_graph.n_relations());
+        Self::with_layout(cfg, n_entities, n_relations, Init::Seeded(train_graph))
+    }
+
+    /// The one parameter layout: every tensor in registration order with
+    /// its shape, so [`HalkModel::new`] and [`HalkModel::from_parts`]
+    /// cannot drift apart.
+    fn with_layout(cfg: HalkConfig, n_entities: usize, n_relations: usize, init: Init) -> Self {
+        let mut rng = matches!(init, Init::Seeded(_)).then(|| StdRng::seed_from_u64(cfg.seed));
         let mut store = ParamStore::new();
-        let d = cfg.dim;
-        let h = cfg.hidden;
-        let layers = cfg.mlp_layers;
+        let (d, h, layers) = (cfg.dim, cfg.hidden, cfg.mlp_layers);
+        let table = |store: &mut ParamStore, rng: &mut Option<StdRng>, rows, lo, hi| {
+            store.add(match rng {
+                Some(rng) => halk_nn::init::uniform(rows, d, lo, hi, rng),
+                None => Tensor::zeros(rows, d),
+            })
+        };
+        let mlp = |store: &mut ParamStore, rng: &mut Option<StdRng>, in_dim| match rng {
+            Some(rng) => Mlp::new(store, in_dim, h, d, layers, Act::Relu, rng),
+            None => Mlp::zeroed(store, in_dim, h, d, layers, Act::Relu),
+        };
+        let rng = &mut rng;
 
-        let n_entities = train_graph.n_entities();
-        let n_relations = train_graph.n_relations();
+        let ent_center = table(&mut store, rng, n_entities, 0.0, std::f32::consts::TAU);
+        let rel_center = table(&mut store, rng, n_relations, -0.5, 0.5);
+        let rel_len = table(&mut store, rng, n_relations, 0.0, 0.5);
 
-        let ent_center = store.add(halk_nn::init::uniform_angles(n_entities, d, &mut rng));
-        let rel_center = store.add(halk_nn::init::uniform(n_relations, d, -0.5, 0.5, &mut rng));
-        let rel_len = store.add(halk_nn::init::uniform(n_relations, d, 0.0, 0.5, &mut rng));
-
-        // HaLk-V3 learns center from the center alone and length from the
-        // length alone (NewLook-style independence); the full model uses the
-        // coordinated 2d-wide (start ‖ end) input.
         // Operator-network inputs are periodic (cos, sin) features of the
         // start/end points — 4d wide — except HaLk-V3, which reproduces
         // NewLook's independent center (2d trig) / length (d raw) inputs.
@@ -119,35 +133,38 @@ impl HalkModel {
         } else {
             (4 * d, 4 * d)
         };
-        let proj_center = Mlp::new(&mut store, proj_c_in, h, d, layers, Act::Relu, &mut rng);
-        let proj_alpha = Mlp::new(&mut store, proj_a_in, h, d, layers, Act::Relu, &mut rng);
+        let proj_center = mlp(&mut store, rng, proj_c_in);
+        let proj_alpha = mlp(&mut store, rng, proj_a_in);
 
-        let inter_att = Mlp::new(&mut store, 4 * d, h, d, layers, Act::Relu, &mut rng);
-        let inter_ds_inner = Mlp::new(&mut store, 4 * d, h, d, layers, Act::Relu, &mut rng);
-        let inter_ds_outer = Mlp::new(&mut store, d, h, d, layers, Act::Relu, &mut rng);
+        let inter_att = mlp(&mut store, rng, 4 * d);
+        let inter_ds_inner = mlp(&mut store, rng, 4 * d);
+        let inter_ds_outer = mlp(&mut store, rng, d);
 
-        let diff_att = Mlp::new(&mut store, 4 * d, h, d, layers, Act::Relu, &mut rng);
-        let diff_kappa_first = store.add(halk_nn::init::uniform(1, d, 0.5, 1.5, &mut rng));
-        let diff_kappa_rest = store.add(halk_nn::init::uniform(1, d, -0.5, 0.5, &mut rng));
-        let diff_ds_inner = Mlp::new(&mut store, 2 * d, h, d, layers, Act::Relu, &mut rng);
-        let diff_ds_outer = Mlp::new(&mut store, d, h, d, layers, Act::Relu, &mut rng);
+        let diff_att = mlp(&mut store, rng, 4 * d);
+        let diff_kappa_first = table(&mut store, rng, 1, 0.5, 1.5);
+        let diff_kappa_rest = table(&mut store, rng, 1, -0.5, 0.5);
+        let diff_ds_inner = mlp(&mut store, rng, 2 * d);
+        let diff_ds_outer = mlp(&mut store, rng, d);
 
-        let neg_t1 = Mlp::new(&mut store, 2 * d, h, d, layers, Act::Relu, &mut rng);
-        let neg_t2 = Mlp::new(&mut store, d, h, d, layers, Act::Relu, &mut rng);
-        let neg_center = Mlp::new(&mut store, 2 * d, h, d, layers, Act::Relu, &mut rng);
-        let neg_alpha = Mlp::new(&mut store, 2 * d, h, d, layers, Act::Relu, &mut rng);
+        let neg_t1 = mlp(&mut store, rng, 2 * d);
+        let neg_t2 = mlp(&mut store, rng, d);
+        let neg_center = mlp(&mut store, rng, 2 * d);
+        let neg_alpha = mlp(&mut store, rng, 2 * d);
 
-        // Residual-correction networks start near the zero function so that
-        // the first forward passes are pure rotation / pure complement.
-        // Zero final layers: corrections start as exactly the zero function
-        // (gradients still flow through the earlier layers), so step 0 is
-        // pure rotation / pure complement.
-        proj_center.scale_last_layer(&mut store, 0.0);
-        proj_alpha.scale_last_layer(&mut store, 0.0);
-        neg_center.scale_last_layer(&mut store, 0.0);
-        neg_alpha.scale_last_layer(&mut store, 0.0);
+        // Zero final layers: the residual corrections start as exactly the
+        // zero function (gradients still flow through the earlier layers),
+        // so step 0 is pure rotation / pure complement.
+        for net in [&proj_center, &proj_alpha, &neg_center, &neg_alpha] {
+            net.scale_last_layer(&mut store, 0.0);
+        }
 
-        let grouping = Grouping::random(train_graph, cfg.n_groups, &mut rng);
+        let grouping = match init {
+            Init::Seeded(graph) => {
+                let rng = rng.as_mut().expect("a seeded layout has an RNG");
+                Grouping::random(graph, cfg.n_groups, rng)
+            }
+            Init::Zeroed(grouping) => grouping,
+        };
 
         Self {
             cfg,
@@ -172,19 +189,8 @@ impl HalkModel {
             neg_t2,
             neg_center,
             neg_alpha,
-            train_shards: Vec::new(),
             infer_tapes: Mutex::new(Vec::new()),
-            exec: Executor::new(Self::exec_config()),
-        }
-    }
-
-    /// The model-internal executor configuration: auto-threaded, no group
-    /// cap (a training batch is one group), full-precision tables, and the
-    /// `model_batch` pool label every release has used.
-    fn exec_config() -> ExecConfig {
-        ExecConfig {
-            label: "model_batch",
-            ..ExecConfig::default()
+            exec: Executor::new(ExecConfig::model()),
         }
     }
 
@@ -809,13 +815,16 @@ impl HalkModel {
     /// comparing pooled vs unpooled execution; training behavior is
     /// identical either way.
     pub fn reset_train_tape(&mut self) {
-        self.train_shards = Vec::new();
+        self.exec.train.lock().expect("train shards").clear();
     }
 
     /// Free buffers pooled across the persistent training tapes
     /// (diagnostics/tests: steady-state training must not grow it).
     pub fn pooled_tape_buffers(&self) -> usize {
-        self.train_shards
+        self.exec
+            .train
+            .lock()
+            .expect("train shards")
             .iter()
             .map(|(t, _)| t.pooled_buffers())
             .sum()
@@ -880,10 +889,10 @@ impl HalkModel {
     /// full triple sweep for the grouping; this constructor allocates the
     /// tables zeroed (the decoded `store` replaces every value anyway) and
     /// takes the decoded `grouping` as-is, so its cost is the small
-    /// operator-MLP registrations. Parameter registration order and shapes
-    /// are identical to `HalkModel::new` on a graph of the same shape —
-    /// that invariant is what makes the store swap sound, and it is
-    /// enforced structurally by [`ParamStore::same_shapes`].
+    /// operator-MLP registrations. Both constructors register through one
+    /// layout, so order and shapes match `HalkModel::new` on a graph of
+    /// the same shape; [`ParamStore::same_shapes`] checks the decoded
+    /// store against it.
     pub fn from_parts(
         cfg: HalkConfig,
         n_entities: usize,
@@ -891,44 +900,8 @@ impl HalkModel {
         grouping: Grouping,
         store: ParamStore,
     ) -> std::io::Result<Self> {
-        // Shape-only registration: every value in `arch` is replaced by the
-        // decoded store, so the layers register zeroed (`Mlp::zeroed` keeps
-        // the registration order and shapes in lockstep with `new` without
-        // the throwaway RNG draws — `Tensor::zeros` is an `alloc_zeroed`,
-        // nearly free even at the entity-table scale).
-        let mut arch = ParamStore::new();
-        let d = cfg.dim;
-        let h = cfg.hidden;
-        let layers = cfg.mlp_layers;
-
-        let ent_center = arch.add(Tensor::zeros(n_entities, d));
-        let rel_center = arch.add(Tensor::zeros(n_relations, d));
-        let rel_len = arch.add(Tensor::zeros(n_relations, d));
-
-        let (proj_c_in, proj_a_in) = if cfg.ablation == Ablation::V3 {
-            (2 * d, d)
-        } else {
-            (4 * d, 4 * d)
-        };
-        let proj_center = Mlp::zeroed(&mut arch, proj_c_in, h, d, layers, Act::Relu);
-        let proj_alpha = Mlp::zeroed(&mut arch, proj_a_in, h, d, layers, Act::Relu);
-
-        let inter_att = Mlp::zeroed(&mut arch, 4 * d, h, d, layers, Act::Relu);
-        let inter_ds_inner = Mlp::zeroed(&mut arch, 4 * d, h, d, layers, Act::Relu);
-        let inter_ds_outer = Mlp::zeroed(&mut arch, d, h, d, layers, Act::Relu);
-
-        let diff_att = Mlp::zeroed(&mut arch, 4 * d, h, d, layers, Act::Relu);
-        let diff_kappa_first = arch.add(Tensor::zeros(1, d));
-        let diff_kappa_rest = arch.add(Tensor::zeros(1, d));
-        let diff_ds_inner = Mlp::zeroed(&mut arch, 2 * d, h, d, layers, Act::Relu);
-        let diff_ds_outer = Mlp::zeroed(&mut arch, d, h, d, layers, Act::Relu);
-
-        let neg_t1 = Mlp::zeroed(&mut arch, 2 * d, h, d, layers, Act::Relu);
-        let neg_t2 = Mlp::zeroed(&mut arch, d, h, d, layers, Act::Relu);
-        let neg_center = Mlp::zeroed(&mut arch, 2 * d, h, d, layers, Act::Relu);
-        let neg_alpha = Mlp::zeroed(&mut arch, 2 * d, h, d, layers, Act::Relu);
-
-        if !arch.same_shapes(&store) {
+        let mut model = Self::with_layout(cfg, n_entities, n_relations, Init::Zeroed(grouping));
+        if !model.store.same_shapes(&store) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
@@ -936,48 +909,22 @@ impl HalkModel {
                      {} tensors / {} scalars decoded, {} / {} expected",
                     store.len(),
                     store.num_scalars(),
-                    arch.len(),
-                    arch.num_scalars()
+                    model.store.len(),
+                    model.store.num_scalars()
                 ),
             ));
         }
-        if grouping.n_entities() != n_entities {
+        if model.grouping.n_entities() != n_entities {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
                     "snapshot grouping covers {} entities, graph has {n_entities}",
-                    grouping.n_entities()
+                    model.grouping.n_entities()
                 ),
             ));
         }
-
-        Ok(Self {
-            cfg,
-            store,
-            grouping,
-            n_entities,
-            n_relations,
-            ent_center,
-            rel_center,
-            rel_len,
-            proj_center,
-            proj_alpha,
-            inter_att,
-            inter_ds_inner,
-            inter_ds_outer,
-            diff_att,
-            diff_kappa_first,
-            diff_kappa_rest,
-            diff_ds_inner,
-            diff_ds_outer,
-            neg_t1,
-            neg_t2,
-            neg_center,
-            neg_alpha,
-            train_shards: Vec::new(),
-            infer_tapes: Mutex::new(Vec::new()),
-            exec: Executor::new(Self::exec_config()),
-        })
+        model.store = store;
+        Ok(model)
     }
 }
 

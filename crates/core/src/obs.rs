@@ -42,7 +42,7 @@ pub fn install() {
     });
 }
 
-fn on_pool_stats(s: &halk_par::PoolStats) {
+fn on_pool_stats(s: &halk_par::PoolStats<'_>) {
     match region_metrics(s.region) {
         Some(m) => m.record(s),
         None => RegionMetrics::new(s.region).record(s),
@@ -70,10 +70,10 @@ impl RegionMetrics {
         }
     }
 
-    fn record(&self, s: &halk_par::PoolStats) {
+    fn record(&self, s: &halk_par::PoolStats<'_>) {
         self.regions.inc();
         self.wall.record(s.wall_ns / 1_000);
-        for &ns in &s.busy_ns {
+        for &ns in s.busy_ns {
             self.busy.record(ns / 1_000);
         }
     }

@@ -6,13 +6,12 @@
 //! against a query. The harness trains and evaluates any `QueryModel`
 //! identically, so timing comparisons are apples-to-apples.
 
-use crate::config::HalkConfig;
+use crate::exec::TrainShard;
 use crate::model::HalkModel;
 use halk_kg::EntityId;
-use halk_logic::plan::{PlanBindings, PlanMasks, PlanShape};
+use halk_logic::plan::PlanMasks;
 use halk_logic::{Query, Structure};
-use halk_nn::{GradBuffer, ParamStore, Tape, Var};
-use std::sync::Arc;
+use halk_nn::{ParamStore, Tape, Var};
 
 /// One training example: a grounded query, one positive answer and `m`
 /// negative entities (the negative-sampling trick of §III-G).
@@ -27,72 +26,42 @@ pub struct TrainExample {
     pub negatives: Vec<EntityId>,
 }
 
-/// Examples per training shard. Fixed by data, not by hardware: the shard
-/// plan for a batch is identical at every thread count, which is what makes
-/// data-parallel training bit-reproducible (DESIGN.md §9).
-const TRAIN_SHARD_SIZE: usize = 8;
-
-/// Forward pass of one training shard on its own tape: executes the
-/// batch's compiled plan over the shard's binding tables, builds
-/// positive/negative distance columns with their group penalties (Eq. 17)
-/// and returns the shard-mean margin loss. `m` is the batch-global minimum
-/// negative count; `bindings`/`masks` are the shard's slices of the
-/// batch-wide bind tables computed once before sharding.
-#[allow(clippy::too_many_arguments)] // one parameter per precomputed batch constant
-fn shard_forward(
-    model: &HalkModel,
-    tape: &mut Tape,
-    shard: &[TrainExample],
-    shape: &PlanShape,
-    bindings: &[PlanBindings],
-    masks: &[PlanMasks],
-    m: usize,
-    cfg: &HalkConfig,
-) -> Var {
-    let roots = model.embed_plan(tape, shape, bindings, masks);
+/// Forward pass of one training shard on its tape: executes the batch's
+/// compiled plan over the shard's binding tables and returns the shard-mean
+/// Eq. 17 loss, group penalties included ([`crate::loss::shard_loss`]).
+fn shard_forward(model: &HalkModel, tape: &mut Tape, shard: &TrainShard<'_>) -> Var {
+    let masks: Vec<PlanMasks> = shard
+        .bindings
+        .iter()
+        .map(|b| PlanMasks::compute(shard.shape, b, model.grouping()))
+        .collect();
+    let roots = model.embed_plan(tape, shard.shape, shard.bindings, &masks);
     assert_eq!(roots.len(), 1, "training structures are union-free (§IV-A)");
     let arc = roots[0];
 
     // Group penalty constants ξ‖Relu(h_v − h_{U_q})‖₁ (Eq. 17). The query
     // mask h_{U_q} is the plan's precomputed root mask.
+    let xi = model.cfg.xi;
     let pen = |ids: &[u32]| -> halk_nn::Tensor {
         let data = ids
             .iter()
-            .zip(masks)
+            .zip(&masks)
             .map(|(&e, qm)| {
-                cfg.xi
-                    * halk_kg::Grouping::relu_l1(model.grouping().mask_of(EntityId(e)), qm.root)
-                        as f32
+                xi * halk_kg::Grouping::relu_l1(model.grouping().mask_of(EntityId(e)), qm.root)
+                    as f32
             })
             .collect();
         halk_nn::Tensor::from_vec(ids.len(), 1, data)
     };
-
-    // Positive: d(v‖A_q) and the group penalty.
-    let pos_ids: Vec<u32> = shard.iter().map(|ex| ex.positive.0).collect();
-    let pos_pen = pen(&pos_ids);
-    let pos_points = model.entity_points(tape, &pos_ids);
-    let d_pos = model.distance_batch(tape, arc, pos_points);
-    let pos_pen_var = tape.input(pos_pen);
-
-    // Negatives: m distance columns with their penalties.
-    let mut d_negs = Vec::with_capacity(m);
-    let mut neg_pens = Vec::with_capacity(m);
-    for j in 0..m {
-        let ids: Vec<u32> = shard.iter().map(|ex| ex.negatives[j].0).collect();
-        let neg_pen = pen(&ids);
-        let points = model.entity_points(tape, &ids);
-        d_negs.push(model.distance_batch(tape, arc, points));
-        neg_pens.push(tape.input(neg_pen));
-    }
-
-    crate::loss::margin_loss(
+    crate::loss::shard_loss(
         tape,
-        d_pos,
-        Some(pos_pen_var),
-        &d_negs,
-        Some(&neg_pens),
-        cfg.gamma,
+        shard,
+        model.cfg.gamma,
+        |tape, ids| {
+            let points = model.entity_points(tape, ids);
+            model.distance_batch(tape, arc, points)
+        },
+        Some(&pen),
     )
 }
 
@@ -163,83 +132,11 @@ impl QueryModel for HalkModel {
     }
 
     fn train_batch(&mut self, batch: &[TrainExample]) -> f32 {
-        assert!(!batch.is_empty());
-        let cfg: HalkConfig = self.cfg.clone();
-        let b = batch.len();
-        let n_shards = b.div_ceil(TRAIN_SHARD_SIZE);
-
-        // Constants fixed over the whole batch so no shard-local choice
-        // depends on the split: the minimum negative count m, the compiled
-        // shape (one per batch — batches are same-structure) and the
-        // per-example bindings with group masks h_{U_q} (Eq. 17).
-        let m = batch.iter().map(|ex| ex.negatives.len()).min().unwrap_or(0);
-        assert!(m > 0, "training requires at least one negative per example");
-        let shape = self.plan_cache().shape_for(&batch[0].query);
-        let mut bindings = Vec::with_capacity(b);
-        let mut masks = Vec::with_capacity(b);
-        for ex in batch {
-            assert!(
-                Arc::ptr_eq(&shape, &self.plan_cache().shape_for(&ex.query)),
-                "heterogeneous batch: {} does not match the batch shape",
-                ex.query.render()
-            );
-            let (bi, mi) = self.bind(&shape, &ex.query);
-            bindings.push(bi);
-            masks.push(mi);
-        }
-
-        // Take the persistent shard state out of the model (forward passes
-        // borrow &self), grow it to this batch's shard plan, and put it
-        // back at the end so the tape buffer pools survive across steps.
-        let mut shards = std::mem::take(&mut self.train_shards);
-        while shards.len() < n_shards {
-            shards.push((Tape::new(), GradBuffer::new()));
-        }
-
-        // The whole batch is one skeleton group on the model's executor:
-        // it fans out into the fixed 8-example shards, each running its
-        // forward/backward on its persistent tape and staging gradients in
-        // its own buffer for the fixed-order fold below. Shard boundaries
-        // depend only on the batch size, never on the thread count, so any
-        // parallelism yields bit-identical results (DESIGN.md §9).
-        let this: &HalkModel = self;
-        let exec = this.executor();
-        let group = exec.group_span(b, || None);
-        let losses = exec
-            .pool()
-            .par_map_mut(&mut shards[..n_shards], |si, (tape, buf)| {
-                let lo = si * TRAIN_SHARD_SIZE;
-                let hi = (lo + TRAIN_SHARD_SIZE).min(b);
-                tape.reset();
-                buf.reset_for(&this.store);
-                let loss = shard_forward(
-                    this,
-                    tape,
-                    &batch[lo..hi],
-                    &shape,
-                    &bindings[lo..hi],
-                    &masks[lo..hi],
-                    m,
-                    &cfg,
-                );
-                // Weight the shard's mean by its share of the batch so the
-                // shard-summed loss and gradients form one batch-wide mean.
-                let scaled = tape.scale(loss, (hi - lo) as f32 / b as f32);
-                tape.backward_into(scaled, buf);
-                tape.value(scaled).item()
-            });
-        drop(group);
-
-        // Fixed-order reduction: shard gradients and losses combine in
-        // shard order regardless of which worker produced them.
-        self.store.zero_grads();
-        for (_, buf) in &shards[..n_shards] {
-            buf.add_into(&mut self.store);
-        }
-        self.store.clip_grad_norm(5.0);
-        self.store.adam_step(cfg.lr);
-        self.train_shards = shards;
-        losses.iter().sum()
+        self.exec
+            .stage_step(&self.store, batch, |tape, shard| {
+                shard_forward(self, tape, shard)
+            })
+            .apply(&mut self.store, self.cfg.lr)
     }
 
     fn score_all(&self, query: &Query) -> Vec<f32> {
@@ -279,6 +176,7 @@ impl QueryModel for HalkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HalkConfig;
     use halk_kg::{generate, Graph, SynthConfig};
     use halk_logic::{answers, Sampler};
     use rand::rngs::StdRng;

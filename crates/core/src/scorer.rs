@@ -81,10 +81,6 @@ pub enum Precision {
     /// error 1.6e-5, which preserves MRR/H@k to well under the 1e-3
     /// equivalence gate on the seed eval.
     I16,
-    /// 8-bit fixed point (scale 127) — experimental. Quarters resident
-    /// bytes; per-coordinate error up to 4e-3, enough to reorder
-    /// near-tied entities. Not covered by the rank-equivalence gate.
-    I8,
 }
 
 impl Precision {
@@ -93,16 +89,14 @@ impl Precision {
         match self {
             Precision::F32 => 8,
             Precision::I16 => 4,
-            Precision::I8 => 2,
         }
     }
 
-    /// The CLI / STATS name (`f32`, `i16`, `i8`).
+    /// The CLI / STATS name (`f32`, `i16`).
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::I16 => "i16",
-            Precision::I8 => "i8",
         }
     }
 }
@@ -114,8 +108,7 @@ impl std::str::FromStr for Precision {
         match s {
             "f32" | "exact" => Ok(Precision::F32),
             "i16" | "f16" => Ok(Precision::I16), // `f16` accepted as the colloquial 16-bit name
-            "i8" => Ok(Precision::I8),
-            other => Err(format!("unknown precision '{other}' (f32|i16|i8)")),
+            other => Err(format!("unknown precision '{other}' (f32|i16)")),
         }
     }
 }
@@ -127,16 +120,10 @@ impl std::fmt::Display for Precision {
 }
 
 const I16_SCALE: f32 = 32767.0;
-const I8_SCALE: f32 = 127.0;
 
 #[inline]
 fn quantize_i16(x: f32) -> i16 {
     (x * I16_SCALE).round().clamp(-I16_SCALE, I16_SCALE) as i16
-}
-
-#[inline]
-fn quantize_i8(x: f32) -> i8 {
-    (x * I8_SCALE).round().clamp(-I8_SCALE, I8_SCALE) as i8
 }
 
 /// Entities per lane block of an [`EntityTrig`]: the SIMD width of the
@@ -164,10 +151,6 @@ enum TrigStore {
     I16 {
         half_sin: Vec<i16>,
         half_cos: Vec<i16>,
-    },
-    I8 {
-        half_sin: Vec<i8>,
-        half_cos: Vec<i8>,
     },
 }
 
@@ -222,10 +205,6 @@ impl TrigStore {
             Precision::I16 => {
                 let (half_sin, half_cos) = blocked(n, d, fill, quantize_i16);
                 TrigStore::I16 { half_sin, half_cos }
-            }
-            Precision::I8 => {
-                let (half_sin, half_cos) = blocked(n, d, fill, quantize_i8);
-                TrigStore::I8 { half_sin, half_cos }
             }
         }
     }
@@ -303,7 +282,6 @@ impl EntityTrig {
         match self.store {
             TrigStore::F32 { .. } => Precision::F32,
             TrigStore::I16 { .. } => Precision::I16,
-            TrigStore::I8 { .. } => Precision::I8,
         }
     }
 
@@ -414,10 +392,6 @@ impl EntityTrig {
             TrigStore::I16 { half_sin, half_cos } => (
                 half_sin[i] as f32 * (1.0 / I16_SCALE),
                 half_cos[i] as f32 * (1.0 / I16_SCALE),
-            ),
-            TrigStore::I8 { half_sin, half_cos } => (
-                half_sin[i] as f32 * (1.0 / I8_SCALE),
-                half_cos[i] as f32 * (1.0 / I8_SCALE),
             ),
         }
     }
@@ -780,9 +754,6 @@ impl ArcScorer {
             }
             TrigStore::I16 { half_sin, half_cos } => {
                 self.score_lanes::<MODE, _>(half_sin, half_cos, 1.0 / I16_SCALE, row0, out)
-            }
-            TrigStore::I8 { half_sin, half_cos } => {
-                self.score_lanes::<MODE, _>(half_sin, half_cos, 1.0 / I8_SCALE, row0, out)
             }
         }
     }
@@ -1178,7 +1149,7 @@ mod tests {
     #[test]
     fn trig_from_rows_matches_full_table() {
         let table = Tensor::from_vec(4, 2, vec![0.1, 0.2, 3.0, 4.0, 5.5, 0.9, 2.2, 2.3]);
-        for p in [Precision::F32, Precision::I16, Precision::I8] {
+        for p in [Precision::F32, Precision::I16] {
             let full = EntityTrig::with_precision(&table, p);
             let part = EntityTrig::from_rows_with(&table, 1..3, p);
             assert_eq!(part.n_entities(), 2);
@@ -1197,7 +1168,8 @@ mod tests {
         assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
         assert_eq!("f16".parse::<Precision>().unwrap(), Precision::I16);
         assert_eq!("i16".parse::<Precision>().unwrap(), Precision::I16);
-        assert_eq!("i8".parse::<Precision>().unwrap(), Precision::I8);
+        let err = "i8".parse::<Precision>().unwrap_err();
+        assert!(err.contains("unknown precision 'i8'"), "{err}");
         assert!("f64".parse::<Precision>().is_err());
         assert_eq!(Precision::default(), Precision::F32);
         let table = Tensor::from_vec(4, 2, vec![0.0; 8]);
@@ -1205,10 +1177,6 @@ mod tests {
         assert_eq!(
             EntityTrig::with_precision(&table, Precision::I16).resident_bytes(),
             4 * 2 * 4
-        );
-        assert_eq!(
-            EntityTrig::with_precision(&table, Precision::I8).resident_bytes(),
-            4 * 2 * 2
         );
     }
 
@@ -1238,29 +1206,25 @@ mod tests {
             // so bound the score gap by a small multiple of dims · step
             // (the ZeroedInside containment mask can flip on boundary
             // entities, so skip exact-boundary rows there via the bound).
-            for (p, step) in [
-                (Precision::I16, 0.5 / I16_SCALE),
-                (Precision::I8, 0.5 / I8_SCALE),
-            ] {
-                let q = EntityTrig::with_precision(&table, p);
-                let got = scorer.score_all(&q);
-                let tol = 2.0 * rho * (d as f32) * 8.0 * step + 1e-5;
-                let mut close = 0;
-                for (e, (&a, &b)) in want.iter().zip(&got).enumerate() {
-                    if (a - b).abs() <= tol {
-                        close += 1;
-                    } else {
-                        // Mask flips under ZeroedInside can move a term by
-                        // the full endpoint distance; allow only there.
-                        assert_eq!(
-                            mode,
-                            DistanceMode::ZeroedInside,
-                            "{p} {mode:?} entity {e}: {a} vs {b} (tol {tol})"
-                        );
-                    }
+            let (p, step) = (Precision::I16, 0.5 / I16_SCALE);
+            let q = EntityTrig::with_precision(&table, p);
+            let got = scorer.score_all(&q);
+            let tol = 2.0 * rho * (d as f32) * 8.0 * step + 1e-5;
+            let mut close = 0;
+            for (e, (&a, &b)) in want.iter().zip(&got).enumerate() {
+                if (a - b).abs() <= tol {
+                    close += 1;
+                } else {
+                    // Mask flips under ZeroedInside can move a term by
+                    // the full endpoint distance; allow only there.
+                    assert_eq!(
+                        mode,
+                        DistanceMode::ZeroedInside,
+                        "{p} {mode:?} entity {e}: {a} vs {b} (tol {tol})"
+                    );
                 }
-                assert!(close >= n - 2, "{p} {mode:?}: only {close}/{n} close");
             }
+            assert!(close >= n - 2, "{p} {mode:?}: only {close}/{n} close");
         }
     }
 

@@ -296,9 +296,8 @@ pub fn sharded_top_k_timed(
         (heaps, rows)
     });
     // Both halves are interned on the first sweep, so `/metrics` shows
-    // the split from then on; they sum to `halk_shard_sweeps_total`.
+    // the split from then on; their sum is every shard sweep.
     let shards = sharded.n_shards() as u64;
-    halk_obs::counter!("halk_shard_sweeps_total").add(shards);
     let inline_total = halk_obs::counter!("halk_shard_sweeps_inline_total");
     let forked_total = halk_obs::counter!("halk_shard_sweeps_forked_total");
     if fork { forked_total } else { inline_total }.add(shards);

@@ -10,8 +10,8 @@
 //! once per parameter state, never once per structure.
 
 use halk_core::{
-    evaluate_structure_exec, evaluate_structure_pool, sharded_top_k_timed, top_k_indices, EvalCell,
-    ExecConfig, Executor, HalkConfig, HalkModel, Pool, QueryModel, TrainExample,
+    evaluate_structure, evaluate_structure_exec, sharded_top_k_timed, top_k_indices, EvalCell,
+    ExecConfig, Executor, HalkConfig, HalkModel, QueryModel, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::plan::{split_set, PlanBindings, PlanShape};
@@ -92,8 +92,8 @@ fn train_through_executor_is_bit_identical_across_threads() {
 
 /// The pre-refactor evaluation loop, hand-rolled: sample sequentially,
 /// answer-split, score, fold ranks — one query at a time, no executor, no
-/// chunking, no cache layer. This is the semantic contract
-/// `evaluate_structure_pool` has promised since PR 3.
+/// chunking, no cache layer. This is the semantic contract eval has
+/// promised since it first ran in parallel.
 fn sequential_reference(
     model: &HalkModel,
     split: &DatasetSplit,
@@ -146,9 +146,9 @@ fn metric_bits(cell: &EvalCell) -> Vec<u64> {
     ]
 }
 
-/// Eval through the executor (speculative chunks, skeleton groups, shared
+/// Eval through the executor (sampled chunks, skeleton groups, shared
 /// scoring cache) must reproduce the hand-rolled sequential loop bit for
-/// bit, at every thread count.
+/// bit.
 #[test]
 fn eval_through_executor_matches_handrolled_sequential_reference() {
     let _serial = OBS_SERIAL.lock().unwrap();
@@ -160,15 +160,13 @@ fn eval_through_executor_matches_handrolled_sequential_reference() {
     for s in [Structure::P1, Structure::P2, Structure::Up] {
         let (want_bits, want_n) = sequential_reference(&model, &split, s, 6, 11);
         assert!(want_n > 0, "{s}: reference evaluated nothing");
-        for threads in THREADS {
-            let cell = evaluate_structure_pool(&model, &split, s, 6, 11, Pool::new(threads));
-            assert_eq!(cell.n_queries, want_n, "{s}@{threads}: query count");
-            assert_eq!(
-                metric_bits(&cell),
-                want_bits,
-                "{s}@{threads}: metrics drifted from the pre-refactor loop"
-            );
-        }
+        let cell = evaluate_structure(&model, &split, s, 6, 11);
+        assert_eq!(cell.n_queries, want_n, "{s}: query count");
+        assert_eq!(
+            metric_bits(&cell),
+            want_bits,
+            "{s}: metrics drifted from the pre-refactor loop"
+        );
     }
 }
 

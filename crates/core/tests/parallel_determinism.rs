@@ -3,11 +3,10 @@
 //! evaluation metrics, and sharded scoring must be *bit-identical* at every
 //! thread count — guaranteed by fixed shard plans (batch-size-derived, not
 //! thread-derived), per-shard gradient staging reduced in shard order, and
-//! in-order acceptance of speculatively scored eval candidates
-//! (DESIGN.md §9).
+//! sequential eval cells forked only across a table row (DESIGN.md §9).
 
 use halk_core::{
-    evaluate_structure_pool, evaluate_table_pool, sharded_top_k_timed, HalkConfig, HalkModel, Pool,
+    evaluate_structure, evaluate_table_pool, sharded_top_k_timed, HalkConfig, HalkModel, Pool,
     Precision, QueryModel, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
@@ -87,25 +86,33 @@ fn training_is_bit_identical_at_any_thread_count() {
     }
 }
 
+/// Eval forks only across the cells of a table row: at every thread
+/// count, each cell of the row is bit-identical to the structure's own
+/// one-thread evaluation.
 #[test]
-fn evaluation_is_bit_identical_at_any_thread_count() {
+fn table_rows_match_per_structure_cells_at_any_thread_count() {
     let mut rng = StdRng::seed_from_u64(41);
     let full = graph();
     let split = DatasetSplit::nested(&full, 0.8, 0.1, &mut rng);
     let model = HalkModel::new(&split.train, HalkConfig::tiny());
+    let structures = [Structure::P1, Structure::P2, Structure::Up];
 
-    for s in [Structure::P1, Structure::P2, Structure::Up] {
-        let reference = evaluate_structure_pool(&model, &split, s, 6, 5, Pool::new(1));
-        assert!(reference.n_queries > 0, "{s}: nothing evaluated");
-        for threads in &THREADS[1..] {
-            let cell = evaluate_structure_pool(&model, &split, s, 6, 5, Pool::new(*threads));
-            assert_eq!(cell.n_queries, reference.n_queries, "{s}@{threads}");
-            assert_eq!(cell.truncated, reference.truncated, "{s}@{threads}");
+    let solo: Vec<_> = structures
+        .iter()
+        .map(|&s| evaluate_structure(&model, &split, s, 6, 5))
+        .collect();
+    assert!(solo.iter().all(|c| c.n_queries > 0), "nothing evaluated");
+    for threads in THREADS {
+        let row = evaluate_table_pool(&model, &split, &structures, 6, 5, Pool::new(threads));
+        for ((s, cell), want) in row.iter().zip(&solo) {
+            let cell = cell.expect("HaLk supports everything");
+            assert_eq!(cell.n_queries, want.n_queries, "{s}@{threads}");
+            assert_eq!(cell.truncated, want.truncated, "{s}@{threads}");
             for (name, got, want) in [
-                ("mrr", cell.metrics.mrr, reference.metrics.mrr),
-                ("hits1", cell.metrics.hits1, reference.metrics.hits1),
-                ("hits3", cell.metrics.hits3, reference.metrics.hits3),
-                ("hits10", cell.metrics.hits10, reference.metrics.hits10),
+                ("mrr", cell.metrics.mrr, want.metrics.mrr),
+                ("hits1", cell.metrics.hits1, want.metrics.hits1),
+                ("hits3", cell.metrics.hits3, want.metrics.hits3),
+                ("hits10", cell.metrics.hits10, want.metrics.hits10),
             ] {
                 assert_eq!(
                     got.to_bits(),
@@ -114,27 +121,6 @@ fn evaluation_is_bit_identical_at_any_thread_count() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn table_rows_match_per_structure_cells() {
-    let mut rng = StdRng::seed_from_u64(43);
-    let full = graph();
-    let split = DatasetSplit::nested(&full, 0.8, 0.1, &mut rng);
-    let model = HalkModel::new(&split.train, HalkConfig::tiny());
-    let structures = [Structure::P1, Structure::P2];
-
-    let row = evaluate_table_pool(&model, &split, &structures, 4, 9, Pool::new(4));
-    for (s, cell) in &row {
-        let cell = cell.expect("HaLk supports everything");
-        let solo = evaluate_structure_pool(&model, &split, *s, 4, 9, Pool::new(1));
-        assert_eq!(cell.n_queries, solo.n_queries, "{s}");
-        assert_eq!(
-            cell.metrics.mrr.to_bits(),
-            solo.metrics.mrr.to_bits(),
-            "{s}"
-        );
     }
 }
 
@@ -191,13 +177,9 @@ fn truncation_is_reported_when_the_attempt_budget_exhausts() {
     let full = generate(&SynthConfig::fb237_like(), &mut rng);
     let split = DatasetSplit::nested(&full, 0.98, 0.01, &mut rng);
     let model = HalkModel::new(&split.train, HalkConfig::tiny());
-    let cell = evaluate_structure_pool(&model, &split, Structure::D3, 500, 3, Pool::new(2));
+    let cell = evaluate_structure(&model, &split, Structure::D3, 500, 3);
     // Either the budget ran out (truncated set, flag raised) or the split
     // really had 500 valid queries (flag clear) — the invariant is that the
     // flag agrees with the count.
     assert_eq!(cell.truncated, cell.n_queries < 500);
-    let seq = evaluate_structure_pool(&model, &split, Structure::D3, 500, 3, Pool::new(1));
-    assert_eq!(cell.n_queries, seq.n_queries);
-    assert_eq!(cell.truncated, seq.truncated);
-    assert_eq!(cell.metrics.mrr.to_bits(), seq.metrics.mrr.to_bits());
 }

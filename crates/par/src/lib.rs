@@ -41,10 +41,12 @@
 //! last statement of every share, the caller's included (`halk-core`
 //! points it at the trace-buffer flush, since scope exit does not wait for
 //! thread-local destructors). When no hook is installed the overhead per
-//! region is one relaxed atomic load.
+//! region is one relaxed atomic load; with hooks installed a region reads
+//! them under one lock, takes no lock per share, and allocates nothing for
+//! regions of up to 8 shares.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Programmatic thread-count override (0 = unset). Set once by binaries
@@ -87,8 +89,8 @@ pub fn auto_threads() -> usize {
 
 /// Per-region statistics handed to the stats hook after each fork-join
 /// region (including sequential fast paths, which report one "worker").
-#[derive(Debug, Clone)]
-pub struct PoolStats {
+#[derive(Debug, Clone, Copy)]
+pub struct PoolStats<'a> {
     /// The pool's label (see [`Pool::labeled`]); `"pool"` by default.
     pub region: &'static str,
     /// Number of shares the region ran (≤ the pool size); worker 0 is the
@@ -97,103 +99,134 @@ pub struct PoolStats {
     /// Wall-clock time of the whole region, nanoseconds.
     pub wall_ns: u64,
     /// Busy time of each worker (closure run time), nanoseconds.
-    pub busy_ns: Vec<u64>,
+    pub busy_ns: &'a [u64],
+}
+
+/// The stats hook's type (see [`set_stats_hook`]).
+pub type StatsHook = fn(&PoolStats<'_>);
+
+/// Both hooks, read together once per region.
+#[derive(Clone, Copy)]
+struct Hooks {
+    stats: Option<StatsHook>,
+    exit: Option<fn()>,
 }
 
 /// Set when either hook is installed: the only cost un-instrumented
 /// regions pay is one relaxed load of this flag.
 static HOOKS_ENABLED: AtomicBool = AtomicBool::new(false);
-static STATS_HOOK: Mutex<Option<fn(&PoolStats)>> = Mutex::new(None);
-static WORKER_EXIT_HOOK: Mutex<Option<fn()>> = Mutex::new(None);
+static HOOKS: Mutex<Hooks> = Mutex::new(Hooks {
+    stats: None,
+    exit: None,
+});
 
-fn refresh_hooks_enabled() {
-    let on = STATS_HOOK.lock().is_ok_and(|h| h.is_some())
-        || WORKER_EXIT_HOOK.lock().is_ok_and(|h| h.is_some());
-    HOOKS_ENABLED.store(on, Ordering::SeqCst);
+fn set_hook(update: impl FnOnce(&mut Hooks)) {
+    let mut hooks = HOOKS.lock().unwrap_or_else(PoisonError::into_inner);
+    update(&mut hooks);
+    HOOKS_ENABLED.store(
+        hooks.stats.is_some() || hooks.exit.is_some(),
+        Ordering::SeqCst,
+    );
 }
 
 /// Installs (or clears, with `None`) the per-region stats hook.
-pub fn set_stats_hook(hook: Option<fn(&PoolStats)>) {
-    if let Ok(mut h) = STATS_HOOK.lock() {
-        *h = hook;
-    }
-    refresh_hooks_enabled();
+pub fn set_stats_hook(hook: Option<StatsHook>) {
+    set_hook(|h| h.stats = hook);
 }
 
 /// Installs (or clears, with `None`) the worker-exit hook, called as the
 /// last statement of every share a region runs (the caller's included).
 pub fn set_worker_exit_hook(hook: Option<fn()>) {
-    if let Ok(mut h) = WORKER_EXIT_HOOK.lock() {
-        *h = hook;
-    }
-    refresh_hooks_enabled();
+    set_hook(|h| h.exit = hook);
 }
 
-#[inline]
-fn hooks_enabled() -> bool {
-    HOOKS_ENABLED.load(Ordering::Relaxed)
-}
+/// Busy-time slots a region keeps inline: regions of up to this many
+/// shares allocate nothing for their bookkeeping.
+const INLINE_SHARES: usize = 8;
 
-/// Runs the worker-exit hook if installed. Every share calls this (via
-/// [`hooks_enabled`] gating) right before it returns.
-fn run_worker_exit() {
-    let hook = WORKER_EXIT_HOOK.lock().ok().and_then(|h| *h);
-    if let Some(f) = hook {
-        f();
-    }
-}
-
-fn report_stats(stats: &PoolStats) {
-    let hook = STATS_HOOK.lock().ok().and_then(|h| *h);
-    if let Some(f) = hook {
-        f(stats);
-    }
-}
-
-/// Region-scope instrumentation state: a wall timer plus one busy-time
-/// slot per worker, allocated only when a hook is installed.
+/// Region-scope instrumentation state, built only when a hook is
+/// installed: the hooks as read at region entry (one lock per region,
+/// none per share), and, when the stats hook is on, a wall timer plus one
+/// busy-time slot per worker. A one-share region's busy time is its wall
+/// time, so it reads the clock twice, not four times.
 struct RegionObs {
     region: &'static str,
-    start: Instant,
-    busy: Vec<AtomicU64>,
+    workers: usize,
+    exit: Option<fn()>,
+    /// The stats hook and the region's start; `None` skips all timing.
+    stats: Option<(StatsHook, Instant)>,
+    busy: [AtomicU64; INLINE_SHARES],
+    /// Slots of the shares past [`INLINE_SHARES`]; empty, and never
+    /// allocated, for smaller regions.
+    spill: Vec<AtomicU64>,
 }
 
 impl RegionObs {
     /// `Some` when hooks are installed (`None` costs one atomic load).
     fn begin(region: &'static str, workers: usize) -> Option<RegionObs> {
-        if !hooks_enabled() {
+        if !HOOKS_ENABLED.load(Ordering::Relaxed) {
             return None;
         }
+        let hooks = *HOOKS.lock().unwrap_or_else(PoisonError::into_inner);
         Some(RegionObs {
             region,
-            start: Instant::now(),
-            busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            workers,
+            exit: hooks.exit,
+            stats: hooks.stats.map(|f| (f, Instant::now())),
+            busy: Default::default(),
+            spill: (INLINE_SHARES..workers)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
         })
     }
 
-    /// Records worker `w`'s busy time and runs the worker-exit hook.
-    /// Callers pass the instant captured at share entry.
-    fn worker_done(&self, w: usize, started: Instant) {
-        let ns = started.elapsed().as_nanos() as u64;
-        if let Some(slot) = self.busy.get(w) {
-            slot.fetch_add(ns, Ordering::Relaxed);
+    /// Runs share `w`, recording its busy time when the stats hook is on,
+    /// then the worker-exit hook.
+    fn share<R>(&self, w: usize, run: impl FnOnce() -> R) -> R {
+        let out = match self.stats {
+            Some(_) if self.workers > 1 => {
+                let started = Instant::now();
+                let out = run();
+                let slot = self
+                    .busy
+                    .get(w)
+                    .unwrap_or_else(|| &self.spill[w - INLINE_SHARES]);
+                slot.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                out
+            }
+            _ => run(),
+        };
+        if let Some(exit) = self.exit {
+            exit();
         }
-        run_worker_exit();
+        out
     }
 
     /// Reports the finished region to the stats hook.
-    fn finish(self, workers: usize) {
-        let stats = PoolStats {
-            region: self.region,
-            workers,
-            wall_ns: self.start.elapsed().as_nanos() as u64,
-            busy_ns: self
-                .busy
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+    fn finish(self) {
+        let Some((hook, start)) = self.stats else {
+            return;
         };
-        report_stats(&stats);
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let (mut inline, mut spilled) = ([0u64; INLINE_SHARES], Vec::new());
+        let busy_ns = if self.workers <= INLINE_SHARES {
+            &mut inline[..self.workers]
+        } else {
+            spilled.resize(self.workers, 0);
+            &mut spilled[..]
+        };
+        for (dst, slot) in busy_ns.iter_mut().zip(self.busy.iter().chain(&self.spill)) {
+            *dst = slot.load(Ordering::Relaxed);
+        }
+        if self.workers == 1 {
+            busy_ns[0] = wall_ns;
+        }
+        hook(&PoolStats {
+            region: self.region,
+            workers: self.workers,
+            wall_ns,
+            busy_ns,
+        });
     }
 }
 
@@ -246,12 +279,7 @@ impl Pool {
         let obs = RegionObs::begin(self.label, workers);
         let share = |w: usize, task: T| match &obs {
             None => run(w, task),
-            Some(o) => {
-                let started = Instant::now();
-                let out = run(w, task);
-                o.worker_done(w, started);
-                out
-            }
+            Some(o) => o.share(w, || run(w, task)),
         };
         let mut tasks = tasks.into_iter();
         let out = match (tasks.next(), tasks.len()) {
@@ -274,7 +302,7 @@ impl Pool {
             }),
         };
         if let Some(o) = obs {
-            o.finish(workers);
+            o.finish();
         }
         out
     }
@@ -365,6 +393,9 @@ mod tests {
 
     const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+    /// The hooks are process-global: tests that install one take turns.
+    static HOOK_SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn pool_clamps_to_one() {
         assert_eq!(Pool::new(0).threads(), 1);
@@ -430,6 +461,7 @@ mod tests {
 
     #[test]
     fn stats_hook_reports_labeled_region() {
+        let _serial = HOOK_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         // Hooks are process-global and other tests run pools concurrently,
         // so the hook filters on a label unique to this test.
         static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -458,6 +490,7 @@ mod tests {
 
     #[test]
     fn stats_hook_covers_sequential_fast_path() {
+        let _serial = HOOK_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         static SEQ_WORKERS: AtomicUsize = AtomicUsize::new(usize::MAX);
         fn hook(s: &PoolStats) {
             if s.region == "par_hook_seq_test" {
@@ -474,7 +507,27 @@ mod tests {
     }
 
     #[test]
+    fn stats_hook_reports_shares_past_the_inline_slots() {
+        let _serial = HOOK_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        static BUSY_LEN: AtomicUsize = AtomicUsize::new(0);
+        fn hook(s: &PoolStats<'_>) {
+            if s.region == "par_hook_spill_test" {
+                BUSY_LEN.store(s.busy_ns.len(), Ordering::SeqCst);
+            }
+        }
+        set_stats_hook(Some(hook));
+        let n = INLINE_SHARES + 2;
+        let got = Pool::new(n)
+            .labeled("par_hook_spill_test")
+            .par_shards(n, |s| s);
+        set_stats_hook(None);
+        assert_eq!(got, (0..n).collect::<Vec<_>>());
+        assert_eq!(BUSY_LEN.load(Ordering::SeqCst), n);
+    }
+
+    #[test]
     fn worker_exit_hook_runs_for_each_worker() {
+        let _serial = HOOK_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         static EXITS: AtomicUsize = AtomicUsize::new(0);
         fn on_exit() {
             EXITS.fetch_add(1, Ordering::SeqCst);

@@ -198,7 +198,7 @@ fn req_list(items: &[BatchItem]) -> Option<String> {
 impl Engine {
     /// Builds the serving state, warming the shard-local entity trig once.
     /// The shard count defaults to the pool's thread budget (HALK_THREADS
-    /// or the machine); override with [`Engine::shards`].
+    /// or the machine); fix it with [`Engine::with_options`].
     pub fn new(graph: Graph, model: Option<HalkModel>) -> Engine {
         Engine::with_options(graph, model, None, Precision::F32)
     }
@@ -213,14 +213,19 @@ impl Engine {
         precision: Precision,
     ) -> Engine {
         let shards = shards.unwrap_or_else(|| Pool::auto().threads()).max(1);
-        let mut engine = Engine {
+        let engine = Engine {
             graph,
             model,
             exec: Executor::new(Engine::exec_config(shards, precision)),
             test_faults: false,
             slow_ms: slow_ms_from_env(),
         };
-        engine.rebuild_sharded();
+        // Warm the shard-local trig once at construction, so request 1
+        // scores through exactly the same tables as request 100.
+        if let Some(m) = &engine.model {
+            let _ = engine.exec.sharded_trig(m);
+        }
+        engine.publish_trig_gauges();
         engine
     }
 
@@ -229,11 +234,10 @@ impl Engine {
     /// per group (`halk serve --batch-cap` overrides).
     fn exec_config(shards: usize, precision: Precision) -> ExecConfig {
         ExecConfig {
-            label: "model_batch",
             batch_cap: DEFAULT_BATCH_CAP,
             shards,
             precision,
-            ..ExecConfig::default()
+            ..ExecConfig::model()
         }
     }
 
@@ -272,23 +276,6 @@ impl Engine {
         engine
     }
 
-    /// Overrides the arc-shard count, rebuilding the shard-local trig.
-    pub fn shards(mut self, n: usize) -> Engine {
-        self.exec.set_shards(n.max(1));
-        self.rebuild_sharded();
-        self
-    }
-
-    /// Overrides the trig storage [`Precision`], rebuilding the
-    /// shard-local tables in the requested format. `F32` (the default) is
-    /// bit-identical to every pre-quantization release; `I16`/`I8` shrink
-    /// the resident working set by 2×/4× and preserve ranks, not bits.
-    pub fn precision(mut self, p: Precision) -> Engine {
-        self.exec.set_precision(p);
-        self.rebuild_sharded();
-        self
-    }
-
     /// Overrides the batch-drain cap: the most same-skeleton jobs one
     /// permit holder groups into a single kernel pass (`halk serve --batch-cap`;
     /// defaults to [`DEFAULT_BATCH_CAP`]).
@@ -300,18 +287,6 @@ impl Engine {
     /// The batch-drain cap permit holders group up to.
     pub fn max_batch(&self) -> usize {
         self.exec.batch_cap()
-    }
-
-    /// Warms the shard-local trig at the configured shard count and
-    /// precision, and publishes the resident-bytes gauges. This runs at
-    /// construction — request 1 scores through exactly the same tables as
-    /// request 100.
-    fn rebuild_sharded(&mut self) {
-        self.exec.invalidate();
-        if let Some(m) = &self.model {
-            let _ = self.exec.sharded_trig(m);
-        }
-        self.publish_trig_gauges();
     }
 
     /// Publishes the resident-bytes gauges for the current shard tables.

@@ -2,7 +2,7 @@
 //! bit-identical to the one-shot path), fault isolation (panics, garbage,
 //! disconnects), backpressure (typed Overloaded), and graceful shutdown.
 
-use halk_core::{top_k_indices, HalkConfig, HalkModel};
+use halk_core::{top_k_indices, HalkConfig, HalkModel, Precision};
 use halk_kg::{generate, Graph, SynthConfig};
 use halk_serve::protocol::{encode_frame, AskEngine, ErrorKind, Response};
 use halk_serve::{Client, Engine, ServeConfig, Server};
@@ -99,7 +99,7 @@ fn sharded_engine_serves_bit_identical_answers() {
 
     // Four shards on a single worker: the merge-k path with several real
     // partitions, no parallelism needed for correctness.
-    let engine = Engine::new(g, Some(model)).shards(4);
+    let engine = Engine::with_options(g, Some(model), Some(4), Precision::F32);
     assert_eq!(engine.n_shards(), 4);
     let cfg = ServeConfig {
         workers: 1,
@@ -149,7 +149,7 @@ fn stacked_same_skeleton_asks_batch_and_stay_bit_identical() {
     }
     assert_eq!(asks.len(), 5);
 
-    let engine = Engine::new(g, Some(model)).shards(4).test_faults(true);
+    let engine = Engine::with_options(g, Some(model), Some(4), Precision::F32).test_faults(true);
     let cfg = ServeConfig {
         workers: 1,
         queue_cap: 16,
